@@ -19,7 +19,8 @@ use std::time::Duration;
 use mabfuzz::json_value;
 
 use crate::http::{
-    read_response_head, read_sized_body, stream_chunked_body, ResponseHead,
+    read_response_head, read_sized_body, send_request, stream_chunked_body, MessageWriter,
+    ResponseHead,
 };
 use crate::transport::{Connection, TcpTransport, Transport};
 
@@ -236,7 +237,8 @@ impl Client {
         }
     }
 
-    /// Writes one request and reads the response head on `conn`.
+    /// Sends one request (head and body in a single write) and reads the
+    /// response head on `conn`.
     fn try_send(
         &self,
         mut conn: Pooled,
@@ -245,18 +247,14 @@ impl Client {
         body: &str,
     ) -> io::Result<(Pooled, ResponseHead)> {
         conn.get_mut().begin_request();
-        let auth = match &self.auth_token {
-            Some(token) => format!("Authorization: Bearer {token}\r\n"),
-            None => String::new(),
-        };
-        write!(
-            conn.get_mut(),
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\n{auth}Content-Length: {}\r\n\r\n",
+        send_request(
+            &mut MessageWriter::new(conn.get_mut()),
+            method,
+            path,
             self.addr,
-            body.len()
+            self.auth_token.as_deref(),
+            body.as_bytes(),
         )?;
-        conn.get_mut().write_all(body.as_bytes())?;
-        conn.get_mut().flush()?;
         let head = read_response_head(&mut conn)?;
         Ok((conn, head))
     }
@@ -489,4 +487,91 @@ fn parse_status(value: &json_value::Value) -> Result<CampaignStatus, ClientError
         status: field(value, "status")?.as_str("status").map_err(err)?.to_owned(),
         label: field(value, "label")?.as_str("label").map_err(err)?.to_owned(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::Connection;
+    use std::io::{Cursor, Read};
+
+    /// A scripted peer: every connection replays `response` and records the
+    /// size of each `write` the client makes on it.
+    struct Scripted {
+        response: &'static [u8],
+        writes: Arc<Mutex<Vec<usize>>>,
+    }
+
+    struct ScriptedConnection {
+        response: Cursor<&'static [u8]>,
+        writes: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Read for ScriptedConnection {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.response.read(buf)
+        }
+    }
+
+    impl Write for ScriptedConnection {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.lock().unwrap().push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Connection for ScriptedConnection {}
+
+    impl Transport for Scripted {
+        fn connect(&self, _addr: SocketAddr) -> io::Result<Box<dyn Connection>> {
+            Ok(Box::new(ScriptedConnection {
+                response: Cursor::new(self.response),
+                writes: Arc::clone(&self.writes),
+            }))
+        }
+    }
+
+    fn scripted_client(response: &'static [u8]) -> (Client, Arc<Mutex<Vec<usize>>>) {
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let transport = Scripted { response, writes: Arc::clone(&writes) };
+        let addr = "127.0.0.1:9".parse().unwrap();
+        (Client::new(addr).with_transport(Arc::new(transport)), writes)
+    }
+
+    fn pooled(client: &Client) -> usize {
+        client.pool.lock().unwrap().len()
+    }
+
+    #[test]
+    fn a_whole_request_leaves_in_one_write() {
+        let (client, writes) =
+            scripted_client(b"HTTP/1.1 201 Created\r\nContent-Length: 8\r\n\r\n{\"id\":7}");
+        let spec = "{\"policy\":\"ucb\"}";
+        assert_eq!(client.with_auth_token("tok").submit(spec).unwrap(), 7);
+        let head = "POST /campaigns HTTP/1.1\r\nHost: 127.0.0.1:9\r\n\
+                    Authorization: Bearer tok\r\nContent-Length: 16\r\n\r\n";
+        assert_eq!(*writes.lock().unwrap(), [head.len() + spec.len()], "head and body together");
+    }
+
+    #[test]
+    fn a_stream_with_a_bad_trailer_is_never_pooled() {
+        let (client, _) = scripted_client(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\nbogus\r\n\r\n",
+        );
+        match client.stream_events(1, &mut Vec::new()) {
+            Err(ClientError::Io(error)) => assert_eq!(error.kind(), io::ErrorKind::InvalidData),
+            other => panic!("a malformed trailer must fail the stream: {other:?}"),
+        }
+        assert_eq!(pooled(&client), 0, "a connection at an unknown framing position is dropped");
+
+        let (client, _) = scripted_client(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        );
+        assert_eq!(client.stream_events(1, &mut Vec::new()).unwrap(), 2);
+        assert_eq!(pooled(&client), 1, "a cleanly terminated stream is reusable");
+    }
 }

@@ -13,9 +13,19 @@
 //! carrying `Transfer-Encoding`, or duplicate/conflicting `Content-Length`
 //! headers, is rejected outright — ambiguous framing on a reused connection
 //! is the classic request-smuggling shape, so it is a loud 400, never a
-//! guess.
+//! guess. Responses are held to the same rule on the client side: a pooled
+//! connection that misreads one response boundary misreads every later one.
+//!
+//! Every outgoing message — a request, a whole sized response, a chunked
+//! response head, each chunk frame — is framed by a [`MessageWriter`] into
+//! one buffer and leaves the process in a single `write_all`, so the kernel
+//! never sees a message split across small writes (see the crate docs'
+//! write discipline).
 
+use std::fmt;
 use std::io::{self, BufRead, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 pub(crate) use mabfuzz::report::json_string;
 
@@ -112,23 +122,7 @@ pub(crate) fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Requ
             "requests must use Content-Length framing; Transfer-Encoding is not accepted",
         ));
     }
-    let mut content_length: Option<usize> = None;
-    for (name, value) in &headers {
-        if name != "content-length" {
-            continue;
-        }
-        let parsed = value
-            .parse::<usize>()
-            .map_err(|_| protocol_error(format!("invalid Content-Length `{value}`")))?;
-        if content_length.is_some_and(|seen| seen != parsed) {
-            return Err(protocol_error("conflicting Content-Length headers"));
-        }
-        if content_length.is_some() {
-            return Err(protocol_error("duplicate Content-Length headers"));
-        }
-        content_length = Some(parsed);
-    }
-    let content_length = content_length.unwrap_or(0);
+    let content_length = content_length(&headers)?.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(protocol_error(format!(
             "request body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
@@ -166,6 +160,26 @@ fn header_value<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a s
     headers.iter().find(|(key, _)| key == name).map(|(_, value)| value.as_str())
 }
 
+/// The message's `Content-Length`, if it carries one. Duplicate or
+/// conflicting headers are rejected — loudly, not by picking one — because
+/// two parsers that fold them differently disagree on where the body ends.
+fn content_length(headers: &[(String, String)]) -> io::Result<Option<usize>> {
+    let mut content_length = None;
+    for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
+        let parsed = value
+            .parse::<usize>()
+            .map_err(|_| protocol_error(format!("invalid Content-Length `{value}`")))?;
+        match content_length {
+            Some(seen) if seen != parsed => {
+                return Err(protocol_error("conflicting Content-Length headers"))
+            }
+            Some(_) => return Err(protocol_error("duplicate Content-Length headers")),
+            None => content_length = Some(parsed),
+        }
+    }
+    Ok(content_length)
+}
+
 /// The reason phrase of the status codes the service emits.
 pub(crate) fn status_text(status: u16) -> &'static str {
     match status {
@@ -190,30 +204,106 @@ fn connection_header(close: bool) -> &'static str {
     }
 }
 
-/// Writes a complete JSON response (`Content-Length` framing). `close`
+/// Sets up a connected socket for this protocol, on both ends: read/write
+/// deadlines plus `TCP_NODELAY`. Every message already leaves in one write
+/// (see [`MessageWriter`]), so Nagle's algorithm has nothing left to
+/// coalesce — it would only hold each small segment back until the peer's
+/// delayed ACK, about 44 ms per exchange on Linux. All three settings are
+/// attempted even if one fails; the first failure is returned.
+pub(crate) fn configure_socket(
+    stream: &TcpStream,
+    read_timeout: Option<Duration>,
+    write_timeout: Option<Duration>,
+) -> io::Result<()> {
+    let nodelay = stream.set_nodelay(true);
+    let read = stream.set_read_timeout(read_timeout);
+    let write = stream.set_write_timeout(write_timeout);
+    nodelay.and(read).and(write)
+}
+
+/// A writer that sends each HTTP message in exactly one `write_all`.
+///
+/// Every message is framed into a buffer the writer keeps (so a
+/// connection reuses one allocation for all its responses and chunk
+/// frames) and only then handed to the socket. Requests and responses
+/// both go through [`send`](MessageWriter::send), so the client and the
+/// server cannot drift apart on the discipline.
+pub(crate) struct MessageWriter<W> {
+    inner: W,
+    frame: Vec<u8>,
+}
+
+impl<W: Write> MessageWriter<W> {
+    pub(crate) fn new(inner: W) -> MessageWriter<W> {
+        MessageWriter { inner, frame: Vec::new() }
+    }
+
+    /// Frames `head`, then `body`, then `tail` into the buffer and sends
+    /// the whole frame in one write.
+    fn send(&mut self, head: fmt::Arguments<'_>, body: &[u8], tail: &[u8]) -> io::Result<()> {
+        self.frame.clear();
+        self.frame.write_fmt(head)?;
+        self.frame.extend_from_slice(body);
+        self.frame.extend_from_slice(tail);
+        self.inner.write_all(&self.frame)?;
+        self.inner.flush()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn into_inner(self) -> W {
+        self.inner
+    }
+}
+
+/// Sends one request with a `Content-Length` body (possibly empty), head
+/// and body together in a single write.
+pub(crate) fn send_request<W: Write>(
+    writer: &mut MessageWriter<W>,
+    method: &str,
+    path: &str,
+    host: impl fmt::Display,
+    bearer_token: Option<&str>,
+    body: &[u8],
+) -> io::Result<()> {
+    let auth = match bearer_token {
+        Some(token) => format!("Authorization: Bearer {token}\r\n"),
+        None => String::new(),
+    };
+    writer.send(
+        format_args!(
+            "{method} {path} HTTP/1.1\r\nHost: {host}\r\n{auth}Content-Length: {}\r\n\r\n",
+            body.len()
+        ),
+        body,
+        b"",
+    )
+}
+
+/// Sends a complete JSON response (`Content-Length` framing). `close`
 /// announces that the server will close the connection after this response;
 /// otherwise the connection stays open for the next request.
-pub(crate) fn respond_json(
-    writer: &mut impl Write,
+pub(crate) fn respond_json<W: Write>(
+    writer: &mut MessageWriter<W>,
     status: u16,
     body: &str,
     close: bool,
 ) -> io::Result<()> {
-    write!(
-        writer,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
-         Connection: {}\r\n\r\n",
-        status_text(status),
-        body.len(),
-        connection_header(close)
-    )?;
-    writer.write_all(body.as_bytes())?;
-    writer.flush()
+    writer.send(
+        format_args!(
+            "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+             Connection: {}\r\n\r\n",
+            status_text(status),
+            body.len(),
+            connection_header(close)
+        ),
+        body.as_bytes(),
+        b"",
+    )
 }
 
-/// Writes an error response whose body is `{"error":"<message>"}`.
-pub(crate) fn respond_error(
-    writer: &mut impl Write,
+/// Sends an error response whose body is `{"error":"<message>"}`.
+pub(crate) fn respond_error<W: Write>(
+    writer: &mut MessageWriter<W>,
     status: u16,
     message: &str,
     close: bool,
@@ -224,29 +314,31 @@ pub(crate) fn respond_error(
 /// Starts a chunked NDJSON response; follow with [`write_chunk`] per payload
 /// and one [`finish_chunked`]. Chunked framing is self-terminating, so the
 /// connection survives the stream unless `close` is set.
-pub(crate) fn start_chunked(writer: &mut impl Write, close: bool) -> io::Result<()> {
-    write!(
-        writer,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-         Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-        connection_header(close)
-    )?;
-    writer.flush()
+pub(crate) fn start_chunked<W: Write>(
+    writer: &mut MessageWriter<W>,
+    close: bool,
+) -> io::Result<()> {
+    writer.send(
+        format_args!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+             Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
+            connection_header(close)
+        ),
+        b"",
+        b"",
+    )
 }
 
-/// Writes one non-empty chunk (an empty chunk would terminate the stream).
-pub(crate) fn write_chunk(writer: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
+/// Sends one non-empty chunk frame — size line, payload, CRLF — in one
+/// write (an empty chunk would terminate the stream).
+pub(crate) fn write_chunk<W: Write>(writer: &mut MessageWriter<W>, bytes: &[u8]) -> io::Result<()> {
     debug_assert!(!bytes.is_empty(), "an empty chunk is the terminator");
-    write!(writer, "{:x}\r\n", bytes.len())?;
-    writer.write_all(bytes)?;
-    writer.write_all(b"\r\n")?;
-    writer.flush()
+    writer.send(format_args!("{:x}\r\n", bytes.len()), bytes, b"\r\n")
 }
 
-/// Writes the terminating zero-length chunk.
-pub(crate) fn finish_chunked(writer: &mut impl Write) -> io::Result<()> {
-    writer.write_all(b"0\r\n\r\n")?;
-    writer.flush()
+/// Sends the terminating zero-length chunk.
+pub(crate) fn finish_chunked<W: Write>(writer: &mut MessageWriter<W>) -> io::Result<()> {
+    writer.send(format_args!("0\r\n\r\n"), b"", b"")
 }
 
 /// The parsed status line and framing headers of a response.
@@ -282,15 +374,17 @@ pub(crate) fn read_response_head<R: BufRead>(reader: &mut R) -> io::Result<Respo
         _ => return Err(protocol_error(format!("malformed status line `{}`", line.trim_end()))),
     };
     let headers = read_headers(reader)?;
-    let chunked = header_value(&headers, "transfer-encoding")
-        .is_some_and(|value| value.eq_ignore_ascii_case("chunked"));
-    let content_length = header_value(&headers, "content-length")
-        .map(|value| {
-            value
-                .parse::<usize>()
-                .map_err(|_| protocol_error(format!("invalid Content-Length `{value}`")))
-        })
-        .transpose()?;
+    // The same strictness as `read_request`: a pooled connection that
+    // guessed wrong about this body's end would misparse every later
+    // response on it.
+    let transfer_encoding = header_value(&headers, "transfer-encoding");
+    let content_length = content_length(&headers)?;
+    if transfer_encoding.is_some() && content_length.is_some() {
+        return Err(protocol_error(
+            "response carries both Transfer-Encoding and Content-Length",
+        ));
+    }
+    let chunked = transfer_encoding.is_some_and(|value| value.eq_ignore_ascii_case("chunked"));
     let close = header_value(&headers, "connection").is_some_and(wants_close);
     Ok(ResponseHead { status, chunked, content_length, close })
 }
@@ -336,8 +430,10 @@ pub(crate) fn stream_chunked_body<R: BufRead>(
         }
         if size == 0 {
             // Trailer section: header lines (none in practice) up to the
-            // final blank line; tolerated but ignored.
-            let _ = read_headers(reader);
+            // final blank line, ignored. A malformed or over-long trailer
+            // leaves the framing position unknown, so it is an error and
+            // the connection must not be reused.
+            read_headers(reader)?;
             return Ok(total);
         }
         chunk.resize(size, 0);
@@ -450,9 +546,9 @@ mod tests {
 
     #[test]
     fn responses_round_trip_sized_bodies() {
-        let mut wire = Vec::new();
+        let mut wire = MessageWriter::new(Vec::new());
         respond_json(&mut wire, 201, "{\"id\":7}", false).unwrap();
-        let mut reader = BufReader::new(Cursor::new(wire));
+        let mut reader = BufReader::new(Cursor::new(wire.into_inner()));
         let head = read_response_head(&mut reader).unwrap();
         assert_eq!(head.status, 201);
         assert!(!head.chunked);
@@ -462,8 +558,9 @@ mod tests {
 
     #[test]
     fn closing_responses_announce_connection_close() {
-        let mut wire = Vec::new();
+        let mut wire = MessageWriter::new(Vec::new());
         respond_json(&mut wire, 200, "{}", true).unwrap();
+        let wire = wire.into_inner();
         let text = String::from_utf8(wire.clone()).unwrap();
         assert!(text.contains("Connection: close"), "{text}");
         let head = read_response_head(&mut BufReader::new(Cursor::new(wire))).unwrap();
@@ -472,12 +569,12 @@ mod tests {
 
     #[test]
     fn chunked_streams_round_trip_byte_identically() {
-        let mut wire = Vec::new();
+        let mut wire = MessageWriter::new(Vec::new());
         start_chunked(&mut wire, false).unwrap();
         write_chunk(&mut wire, b"{\"event\":\"a\"}\n").unwrap();
         write_chunk(&mut wire, b"{\"event\":\"b\"}\n{\"event\":\"c\"}\n").unwrap();
         finish_chunked(&mut wire).unwrap();
-        let mut reader = BufReader::new(Cursor::new(wire));
+        let mut reader = BufReader::new(Cursor::new(wire.into_inner()));
         let head = read_response_head(&mut reader).unwrap();
         assert!(head.chunked);
         let mut decoded = Vec::new();
@@ -488,9 +585,138 @@ mod tests {
 
     #[test]
     fn error_bodies_escape_their_message() {
-        let mut wire = Vec::new();
+        let mut wire = MessageWriter::new(Vec::new());
         respond_error(&mut wire, 400, "bad \"spec\"", true).unwrap();
-        let text = String::from_utf8(wire).unwrap();
+        let text = String::from_utf8(wire.into_inner()).unwrap();
         assert!(text.contains("{\"error\":\"bad \\\"spec\\\"\"}"), "{text}");
+    }
+
+    #[test]
+    fn every_message_keeps_its_exact_wire_bytes() {
+        let mut wire = MessageWriter::new(Vec::new());
+        send_request(&mut wire, "POST", "/campaigns", "127.0.0.1:9", Some("tok"), b"{}").unwrap();
+        send_request(&mut wire, "GET", "/healthz", "127.0.0.1:9", None, b"").unwrap();
+        respond_json(&mut wire, 201, "{\"id\":1}", false).unwrap();
+        start_chunked(&mut wire, true).unwrap();
+        write_chunk(&mut wire, &[b'x'; 26]).unwrap();
+        finish_chunked(&mut wire).unwrap();
+        let expected = "POST /campaigns HTTP/1.1\r\nHost: 127.0.0.1:9\r\n\
+                        Authorization: Bearer tok\r\nContent-Length: 2\r\n\r\n{}\
+                        GET /healthz HTTP/1.1\r\nHost: 127.0.0.1:9\r\nContent-Length: 0\r\n\r\n\
+                        HTTP/1.1 201 Created\r\nContent-Type: application/json\r\n\
+                        Content-Length: 8\r\nConnection: keep-alive\r\n\r\n{\"id\":1}\
+                        HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                        Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
+                        1a\r\nxxxxxxxxxxxxxxxxxxxxxxxxxx\r\n0\r\n\r\n";
+        assert_eq!(String::from_utf8(wire.into_inner()).unwrap(), expected);
+    }
+
+    /// A sink that records the size of every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The `write` calls `send` makes on a fresh counting writer.
+    fn writes_of(send: impl FnOnce(&mut MessageWriter<CountingWriter>) -> io::Result<()>) -> usize {
+        let mut writer = MessageWriter::new(CountingWriter::default());
+        send(&mut writer).unwrap();
+        writer.into_inner().writes.len()
+    }
+
+    #[test]
+    fn every_message_and_chunk_frame_is_exactly_one_write() {
+        let body = "{\"id\":7,\"status\":\"queued\"}";
+        assert_eq!(writes_of(|w| respond_json(w, 201, body, false)), 1, "respond_json");
+        assert_eq!(writes_of(|w| respond_error(w, 404, "unknown id", true)), 1, "respond_error");
+        assert_eq!(writes_of(|w| start_chunked(w, false)), 1, "start_chunked");
+        assert_eq!(writes_of(finish_chunked), 1, "finish_chunked");
+        assert_eq!(
+            writes_of(|w| send_request(w, "POST", "/campaigns", "h:1", Some("t"), body.as_bytes())),
+            1,
+            "a whole request, head and body together"
+        );
+
+        // A stream on one writer: one write per frame, and the reused frame
+        // buffer never leaks bytes from a previous (larger) frame.
+        let mut writer = MessageWriter::new(CountingWriter::default());
+        start_chunked(&mut writer, false).unwrap();
+        for payload in [&[b'a'; 300][..], b"b\n", &[b'c'; 70_000][..]] {
+            write_chunk(&mut writer, payload).unwrap();
+        }
+        finish_chunked(&mut writer).unwrap();
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                    Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n";
+        assert_eq!(
+            writer.into_inner().writes,
+            [head.len(), 3 + 2 + 300 + 2, 1 + 2 + 2 + 2, 5 + 2 + 70_000 + 2, 5],
+            "head, three chunk frames and the terminator: one write each"
+        );
+    }
+
+    #[test]
+    fn both_ends_turn_on_tcp_nodelay() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let deadline = Some(Duration::from_secs(5));
+        for stream in [&client, &server] {
+            configure_socket(stream, deadline, deadline).unwrap();
+            assert!(stream.nodelay().unwrap(), "TCP_NODELAY is on");
+            assert_eq!(stream.read_timeout().unwrap(), deadline);
+            assert_eq!(stream.write_timeout().unwrap(), deadline);
+        }
+    }
+
+    #[test]
+    fn ambiguously_framed_responses_are_rejected_loudly() {
+        for (headers, why) in [
+            ("Content-Length: 2\r\nContent-Length: 3", "conflicting Content-Length"),
+            ("Content-Length: 2\r\nContent-Length: 2", "duplicate Content-Length"),
+            (
+                "Transfer-Encoding: chunked\r\nContent-Length: 7",
+                "both Transfer-Encoding and Content-Length",
+            ),
+        ] {
+            let raw = format!("HTTP/1.1 200 OK\r\n{headers}\r\n\r\n0\r\n\r\n");
+            let error = read_response_head(&mut BufReader::new(Cursor::new(raw.into_bytes())))
+                .expect_err("ambiguous response framing");
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{error}");
+            assert!(error.to_string().contains(why), "{error}");
+        }
+    }
+
+    #[test]
+    fn trailer_errors_propagate_instead_of_ending_the_stream() {
+        let decode = |raw: Vec<u8>| {
+            let mut decoded = Vec::new();
+            stream_chunked_body(&mut BufReader::new(Cursor::new(raw)), &mut decoded)
+                .map(|total| (total, decoded))
+        };
+        let malformed = b"2\r\n{}\r\n0\r\nno-colon-here\r\n\r\n".to_vec();
+        let error = decode(malformed).expect_err("malformed trailer line");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{error}");
+        assert!(error.to_string().contains("malformed header"), "{error}");
+
+        let endless = "x".repeat(MAX_LINE_BYTES as usize);
+        let endless = format!("2\r\n{{}}\r\n0\r\nX-Trailer: {endless}");
+        let error = decode(endless.into_bytes()).expect_err("over-long trailer line");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{error}");
+        assert!(error.to_string().contains("byte limit"), "{error}");
+
+        let clean = b"2\r\n{}\r\n0\r\nX-Trailer: ignored\r\n\r\n".to_vec();
+        let decoded = decode(clean).expect("a well-formed trailer is still ignored");
+        assert_eq!(decoded, (2, b"{}".to_vec()));
     }
 }

@@ -10,8 +10,8 @@ use mabfuzz::report::campaign_json;
 use mabfuzz::{Campaign, CampaignSpec, EventLog, SpecError};
 
 use crate::http::{
-    finish_chunked, json_string, read_request, respond_error, respond_json, start_chunked,
-    write_chunk, Request,
+    configure_socket, finish_chunked, json_string, read_request, respond_error, respond_json,
+    start_chunked, write_chunk, MessageWriter, Request,
 };
 use crate::hub::{Hub, SubmitOutcome};
 
@@ -240,14 +240,15 @@ fn handle_connection(hub: &Hub, config: &ServerConfig, stream: TcpStream) -> boo
     // Socket deadlines bound both halves of every exchange: a slowloris
     // peer times out reading the request, a stalled consumer times out on
     // the event-stream writes, and the same read deadline doubles as the
-    // keep-alive idle timeout between requests.
-    let _ = stream.set_read_timeout(config.io_timeout);
-    let _ = stream.set_write_timeout(config.io_timeout);
+    // keep-alive idle timeout between requests. TCP_NODELAY stops the
+    // kernel from holding back the small segments of back-to-back chunk
+    // frames until the client's delayed ACK.
+    let _ = configure_socket(&stream, config.io_timeout, config.io_timeout);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return false,
     });
-    let mut writer = stream;
+    let mut writer = MessageWriter::new(stream);
     loop {
         let request = match read_request(&mut reader) {
             Ok(Some(request)) => request,
@@ -325,7 +326,12 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 /// Routes one parsed request to its handler. `close` is announced in the
 /// response's `Connection` header (the connection closes after this
 /// exchange); otherwise the connection stays open for the next request.
-fn route(hub: &Hub, request: &Request, writer: &mut TcpStream, close: bool) -> io::Result<()> {
+fn route(
+    hub: &Hub,
+    request: &Request,
+    writer: &mut MessageWriter<TcpStream>,
+    close: bool,
+) -> io::Result<()> {
     let path = request.path.as_str();
     let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
     match (request.method.as_str(), segments.as_slice()) {
@@ -430,7 +436,12 @@ fn route(hub: &Hub, request: &Request, writer: &mut TcpStream, close: bool) -> i
 }
 
 /// `POST /campaigns`: parse + validate the spec body strictly, queue it.
-fn submit(hub: &Hub, body: &[u8], writer: &mut TcpStream, close: bool) -> io::Result<()> {
+fn submit(
+    hub: &Hub,
+    body: &[u8],
+    writer: &mut MessageWriter<TcpStream>,
+    close: bool,
+) -> io::Result<()> {
     let text = match std::str::from_utf8(body) {
         Ok(text) => text,
         Err(_) => return respond_error(writer, 400, "request body is not UTF-8", close),
@@ -470,7 +481,12 @@ fn submit(hub: &Hub, body: &[u8], writer: &mut TcpStream, close: bool) -> io::Re
 /// the stream and followed live until the campaign's broadcast closes. The
 /// payload bytes are exactly the campaign's `EventLog` stream; chunked
 /// framing is self-terminating, so the connection survives the stream.
-fn stream_events(hub: &Hub, id: u64, writer: &mut TcpStream, close: bool) -> io::Result<()> {
+fn stream_events(
+    hub: &Hub,
+    id: u64,
+    writer: &mut MessageWriter<TcpStream>,
+    close: bool,
+) -> io::Result<()> {
     let Some(events) = hub.events(id) else {
         return unknown_campaign(writer, id, close);
     };
@@ -492,11 +508,15 @@ fn parse_id(text: &str) -> Option<u64> {
     text.parse().ok()
 }
 
-fn unknown_campaign(writer: &mut TcpStream, id: u64, close: bool) -> io::Result<()> {
+fn unknown_campaign(
+    writer: &mut MessageWriter<TcpStream>,
+    id: u64,
+    close: bool,
+) -> io::Result<()> {
     respond_error(writer, 404, &format!("unknown campaign id {id}"), close)
 }
 
-fn bad_id(writer: &mut TcpStream, id: &str, close: bool) -> io::Result<()> {
+fn bad_id(writer: &mut MessageWriter<TcpStream>, id: &str, close: bool) -> io::Result<()> {
     respond_error(writer, 400, &format!("malformed campaign id `{id}`"), close)
 }
 

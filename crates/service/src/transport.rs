@@ -27,6 +27,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::http::configure_socket;
+
 /// A bidirectional byte stream (what [`Transport::connect`] hands out).
 pub trait Connection: Read + Write + Send {
     /// Marks the start of a new request/response exchange on this
@@ -49,7 +51,9 @@ pub trait Transport: Send + Sync {
     fn connect(&self, addr: SocketAddr) -> io::Result<Box<dyn Connection>>;
 }
 
-/// The real TCP transport, with optional per-socket deadlines.
+/// The real TCP transport, with optional per-socket deadlines and
+/// `TCP_NODELAY` on every socket (the same set-up the server gives its
+/// accepted sockets).
 ///
 /// `Default` applies no deadlines (the legacy client behaviour); dispatch
 /// builds one with [`with_deadlines`](TcpTransport::with_deadlines) so every
@@ -75,8 +79,7 @@ impl Transport for TcpTransport {
             Some(timeout) => TcpStream::connect_timeout(&addr, timeout)?,
             None => TcpStream::connect(addr)?,
         };
-        stream.set_read_timeout(self.read_timeout)?;
-        stream.set_write_timeout(self.write_timeout)?;
+        configure_socket(&stream, self.read_timeout, self.write_timeout)?;
         Ok(Box::new(stream))
     }
 }

@@ -1,8 +1,9 @@
 //! Keep-alive transport and backpressure end to end: sequential requests
-//! reuse one connection, idle-timeout closes are transparently survived by
-//! the client's reconnect-once, an over-capacity fleet answers 429 and the
-//! coordinator backs off and retries without consuming attempts, and the
-//! streaming merge's memory caps turn hostile streams into loud errors.
+//! reuse one connection and never stall on the wire, idle-timeout closes
+//! are transparently survived by the client's reconnect-once, an
+//! over-capacity fleet answers 429 and the coordinator backs off and
+//! retries without consuming attempts, and the streaming merge's memory
+//! caps turn hostile streams into loud errors.
 
 use std::sync::Arc;
 use std::thread;
@@ -61,6 +62,52 @@ fn sequential_requests_share_one_connection() {
         (faulty.connections_made(), faulty.requests_made()),
         (1, 7),
         "seven sequential requests must share one keep-alive connection"
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("thread").expect("clean shutdown");
+}
+
+#[test]
+fn served_campaign_cycles_run_at_local_speed() {
+    // Every message leaves in one write and both ends set TCP_NODELAY, so no
+    // request or chunk frame waits for Nagle's algorithm to see the peer's
+    // delayed ACK (~44 ms a stall). With those stalls each cycle below costs
+    // at least 4 x 44 ms, over 3.5 s for all 20; without them the loop takes
+    // well under 100 ms. The bound leaves margin on both sides.
+    let server = CampaignServer::bind("127.0.0.1:0", 1).expect("bind");
+    let addr = server.local_addr();
+    let handle = thread::spawn(move || server.serve());
+
+    let faulty = Arc::new(FaultyTransport::new(Arc::new(TcpTransport::default())));
+    let transport: Arc<FaultyTransport> = Arc::clone(&faulty);
+    let client = Client::new(addr).with_transport(transport);
+    let spec = CampaignSpec::builder()
+        .max_tests(10)
+        .rng_seed(5)
+        .processor(ProcessorKind::Rocket, BugSpec::None)
+        .build()
+        .expect("valid spec")
+        .to_json();
+
+    let started = Instant::now();
+    for _ in 0..20 {
+        let id = client.submit(&spec).expect("submit");
+        let streamed = client.stream_events(id, &mut Vec::new()).expect("stream");
+        assert!(streamed > 0, "the campaign streamed its events");
+        client.report(id).expect("report");
+        client.delete(id).expect("delete");
+    }
+    let elapsed = started.elapsed();
+
+    assert!(
+        elapsed < Duration::from_millis(1500),
+        "20 submit/stream/report/delete cycles took {elapsed:?}: a wire-level stall is back"
+    );
+    assert_eq!(
+        (faulty.connections_made(), faulty.requests_made()),
+        (1, 80),
+        "every cycle rides the one keep-alive connection"
     );
 
     client.shutdown().expect("shutdown");
