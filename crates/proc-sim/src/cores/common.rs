@@ -131,12 +131,8 @@ impl CoreExtras {
             map.cover(self.commit_bucket_ids[bucket_index - 1]);
         }
         if self.class_depth_buckets > 0 {
-            let class_index = OpClass::ALL
-                .iter()
-                .position(|c| *c == instr.op.class())
-                .expect("class is in OpClass::ALL");
-            let depth = bucket(commit_index, self.class_depth_buckets);
-            map.cover(self.class_depth_ids[class_index * self.class_depth_buckets + depth]);
+            let row = instr.op.class().index() * self.class_depth_buckets;
+            map.cover(self.class_depth_ids[row + bucket(commit_index, self.class_depth_buckets)]);
         }
         if !self.fetch_group_ids.is_empty() {
             map.cover(self.fetch_group_ids[((pc >> 2) & 0b11) as usize]);
@@ -206,7 +202,7 @@ struct Components {
 /// with the design identity so a scratch handed to a different model is
 /// detected and rebuilt instead of misused.
 #[derive(Debug)]
-struct ModelScratch {
+pub(crate) struct ModelScratch {
     design: &'static str,
     space_len: usize,
     components: Components,
@@ -370,24 +366,18 @@ impl CoreModel {
         let (mem, text, model_slot, snapshot) = scratch.parts();
 
         // Adopt (or create) the scratch's component state for this design.
-        let reusable = model_slot
-            .as_mut()
-            .and_then(|state| state.downcast_mut::<ModelScratch>())
-            .is_some_and(|state| {
-                state.design == self.config.name && state.space_len == self.space.len()
-            });
-        if !reusable {
-            *model_slot = Some(Box::new(ModelScratch {
+        let ours = |state: &ModelScratch| {
+            state.design == self.config.name && state.space_len == self.space.len()
+        };
+        let parts = &mut match model_slot {
+            Some(state) if ours(state) => state,
+            _ => model_slot.insert(ModelScratch {
                 design: self.config.name,
                 space_len: self.space.len(),
                 components: self.components.clone(),
-            }));
+            }),
         }
-        let parts = &mut model_slot
-            .as_mut()
-            .and_then(|state| state.downcast_mut::<ModelScratch>())
-            .expect("model scratch was just validated or rebuilt")
-            .components;
+        .components;
         // A freshly cloned component set is pristine, so the dirty reset is
         // safe on the first run too.
         match policy {

@@ -54,11 +54,11 @@ pub mod bugs;
 pub mod cores;
 pub mod pipeline;
 
-use std::any::Any;
-
 use coverage::{CoverageMap, CoverageSpace};
 use isa_sim::{DecodedProgram, ExecTrace, Memory, ResetPolicy, Snapshot};
 use riscv::Program;
+
+use cores::common::ModelScratch;
 
 pub use bugs::{BugSet, Vulnerability};
 pub use cores::{BoomCore, Cva6Core, ProcessorKind, RocketCore};
@@ -79,8 +79,8 @@ pub struct DutResult {
 
 /// Reusable per-campaign simulation state for [`Processor::run_into`].
 ///
-/// Holds the memory image, the encoded-text buffer, a type-erased slot for
-/// model-specific microarchitectural component state, the pristine-state
+/// Holds the memory image, the encoded-text buffer, a slot for the core
+/// model's microarchitectural component state, the pristine-state
 /// [`Snapshot`] and the [`ResetPolicy`] governing how all of it is brought
 /// back between tests (snapshot/dirty restore by default; full reinit as the
 /// differential oracle — see `isa_sim::snapshot`). A scratch belongs to
@@ -92,7 +92,7 @@ pub struct DutResult {
 pub struct SimScratch {
     mem: Memory,
     text: Vec<u8>,
-    model_state: Option<Box<dyn Any + Send>>,
+    model_state: Option<ModelScratch>,
     snapshot: Snapshot,
     policy: ResetPolicy,
 }
@@ -121,18 +121,18 @@ impl SimScratch {
         SimScratch { policy, ..SimScratch::default() }
     }
 
-    /// Returns the reset policy this scratch recycles its state with. Read
-    /// this *before* [`parts`](SimScratch::parts) — the policy is `Copy`, the
-    /// parts borrow lasts the whole simulation.
+    /// Returns the reset policy this scratch recycles its state with.
     pub fn reset_policy(&self) -> ResetPolicy {
         self.policy
     }
 
     /// Splits the scratch into its memory image, text buffer, model-state
-    /// slot and pristine-state snapshot (for `Processor` implementations).
-    pub fn parts(
+    /// slot and pristine-state snapshot (for the core driver). Read
+    /// [`reset_policy`](SimScratch::reset_policy) first: the parts borrow
+    /// lasts the whole simulation.
+    pub(crate) fn parts(
         &mut self,
-    ) -> (&mut Memory, &mut Vec<u8>, &mut Option<Box<dyn Any + Send>>, &Snapshot) {
+    ) -> (&mut Memory, &mut Vec<u8>, &mut Option<ModelScratch>, &Snapshot) {
         (&mut self.mem, &mut self.text, &mut self.model_state, &self.snapshot)
     }
 }

@@ -1,10 +1,5 @@
 //! CSR-file model: per-CSR access coverage and exception-path coverage.
 
-// detlint: allow-file(default-hasher) -- the CSR id maps are built once
-// from fixed registration order and then only probed by address; nothing
-// iterates them, so coverage bytes are hash-order independent.
-use std::collections::HashMap;
-
 use coverage::{CoverPointId, CoverageMap, CoverageSpace};
 use riscv::CsrAddr;
 
@@ -19,8 +14,9 @@ use riscv::CsrAddr;
 /// * `mret` executed.
 #[derive(Debug, Clone)]
 pub struct CsrFileModel {
-    read_ids: HashMap<u16, CoverPointId>,
-    write_ids: HashMap<u16, CoverPointId>,
+    // Indexed by position in `CsrAddr::IMPLEMENTED`.
+    read_ids: Vec<CoverPointId>,
+    write_ids: Vec<CoverPointId>,
     unimpl_buckets: Vec<CoverPointId>,
     read_only_write: CoverPointId,
     exception_taken: (CoverPointId, CoverPointId),
@@ -32,12 +28,12 @@ impl CsrFileModel {
     /// Creates a CSR-file model and registers its coverage points.
     pub fn new(space: &mut CoverageSpace) -> CsrFileModel {
         let module = "csrfile";
-        let mut read_ids = HashMap::new();
-        let mut write_ids = HashMap::new();
+        let mut read_ids = Vec::new();
+        let mut write_ids = Vec::new();
         for csr in CsrAddr::IMPLEMENTED {
             let name = csr.name().expect("implemented CSRs are named");
-            read_ids.insert(csr.value(), space.register_branch(module, format!("read_{name}"), true));
-            write_ids.insert(csr.value(), space.register_branch(module, format!("write_{name}"), true));
+            read_ids.push(space.register_branch(module, format!("read_{name}"), true));
+            write_ids.push(space.register_branch(module, format!("write_{name}"), true));
         }
         let unimpl_buckets = (0..16)
             .map(|i| space.register_branch(module, format!("unimplemented_nibble{i:x}"), true))
@@ -63,13 +59,13 @@ impl CsrFileModel {
     /// Records an access to a CSR address. `writes` indicates whether the
     /// instruction writes the CSR (after the `csrrs/csrrc x0` special cases).
     pub fn on_access(&self, csr: CsrAddr, writes: bool, map: &mut CoverageMap) {
-        if csr.is_implemented() {
-            map.cover(self.read_ids[&csr.value()]);
+        if let Some(index) = CsrAddr::IMPLEMENTED.iter().position(|c| *c == csr) {
+            map.cover(self.read_ids[index]);
             if writes {
                 if csr.is_read_only() {
                     map.cover(self.read_only_write);
                 } else {
-                    map.cover(self.write_ids[&csr.value()]);
+                    map.cover(self.write_ids[index]);
                 }
             }
         } else {
@@ -161,5 +157,26 @@ mod tests {
         assert!(map.is_covered(space.lookup("csrfile", "trap_redirect_taken", true).unwrap()));
         assert!(map.is_covered(space.lookup("csrfile", "trap_redirect_taken", false).unwrap()));
         assert!(map.is_covered(space.lookup("csrfile", "mret_executed", true).unwrap()));
+    }
+
+    #[test]
+    fn every_implemented_csr_hits_its_named_points() {
+        let (space, csrfile) = setup();
+        let point = |site: String| space.lookup("csrfile", &site, true).unwrap();
+        for csr in CsrAddr::IMPLEMENTED {
+            let mut map = CoverageMap::for_space(&space);
+            csrfile.on_access(csr, true, &mut map);
+            // A write to a read-only CSR is a violation, not a write.
+            let writable = !csr.is_read_only();
+            for other in CsrAddr::IMPLEMENTED {
+                let name = other.name().unwrap();
+                let read = map.is_covered(point(format!("read_{name}")));
+                assert_eq!(read, other == csr, "{csr:?}: {name}");
+                let wrote = map.is_covered(point(format!("write_{name}")));
+                assert_eq!(wrote, other == csr && writable, "{csr:?}: {name}");
+            }
+            let violation = map.is_covered(point("read_only_write_attempt".into()));
+            assert_eq!(violation, !writable, "{csr:?}");
+        }
     }
 }

@@ -1,11 +1,5 @@
 //! Decode-stage model with per-opcode and cross-product coverage points.
 
-// detlint: allow-file(default-hasher) -- the op/class maps are built once
-// from fixed registration order and then only probed by key per committed
-// instruction; nothing iterates them, so point ids and coverage bytes are
-// hash-order independent.
-use std::collections::HashMap;
-
 use coverage::{CoverPointId, CoverageMap, CoverageSpace};
 use riscv::{Instr, Op, OpClass};
 
@@ -23,11 +17,12 @@ use riscv::{Instr, Op, OpClass};
 ///   coverage below 100 % like on the real designs.
 #[derive(Debug, Clone)]
 pub struct DecoderModel {
-    op_seen: HashMap<Op, CoverPointId>,
-    op_other: HashMap<Op, CoverPointId>,
-    class_rd_zero: HashMap<OpClass, (CoverPointId, CoverPointId)>,
-    class_same_src: HashMap<OpClass, (CoverPointId, CoverPointId)>,
-    class_neg_imm: HashMap<OpClass, (CoverPointId, CoverPointId)>,
+    // Indexed by `Op::index()`.
+    op_seen: Vec<CoverPointId>,
+    // Indexed by `OpClass::index()`: each class's ops with their "another
+    // op decoded" id, and its rd/rs/imm cross sites.
+    class_others: Vec<Vec<(Op, CoverPointId)>>,
+    class_crosses: Vec<[(CoverPointId, CoverPointId); 3]>,
     illegal_buckets: Vec<CoverPointId>,
     legal_id: CoverPointId,
     #[allow(dead_code)]
@@ -45,21 +40,25 @@ impl DecoderModel {
     /// hard full coverage is.
     pub fn new(space: &mut CoverageSpace, depth_sites: usize) -> DecoderModel {
         let module = "decoder";
-        let mut op_seen = HashMap::new();
-        let mut op_other = HashMap::new();
-        for op in Op::ALL {
-            let (seen, other) = space.register_site(module, format!("op_{}", op.mnemonic()));
-            op_seen.insert(op, seen);
-            op_other.insert(op, other);
-        }
-        let mut class_rd_zero = HashMap::new();
-        let mut class_same_src = HashMap::new();
-        let mut class_neg_imm = HashMap::new();
-        for class in OpClass::ALL {
-            class_rd_zero.insert(class, space.register_site(module, format!("{class}_rd_is_x0")));
-            class_same_src.insert(class, space.register_site(module, format!("{class}_rs1_eq_rs2")));
-            class_neg_imm.insert(class, space.register_site(module, format!("{class}_imm_negative")));
-        }
+        let op_ids: Vec<_> = Op::ALL
+            .iter()
+            .map(|op| space.register_site(module, format!("op_{}", op.mnemonic())))
+            .collect();
+        let op_seen = op_ids.iter().map(|&(seen, _)| seen).collect();
+        let class_others = OpClass::ALL
+            .iter()
+            .map(|&class| Op::of_class(class).map(|op| (op, op_ids[op.index()].1)).collect())
+            .collect();
+        let class_crosses = OpClass::ALL
+            .iter()
+            .map(|class| {
+                [
+                    space.register_site(module, format!("{class}_rd_is_x0")),
+                    space.register_site(module, format!("{class}_rs1_eq_rs2")),
+                    space.register_site(module, format!("{class}_imm_negative")),
+                ]
+            })
+            .collect();
         let mut illegal_buckets = Vec::new();
         for bucket in 0..8 {
             illegal_buckets.push(space.register_branch(module, format!("illegal_major{bucket}"), true));
@@ -79,10 +78,8 @@ impl DecoderModel {
         }
         DecoderModel {
             op_seen,
-            op_other,
-            class_rd_zero,
-            class_same_src,
-            class_neg_imm,
+            class_others,
+            class_crosses,
             illegal_buckets,
             legal_id,
             unreachable_ids,
@@ -99,21 +96,19 @@ impl DecoderModel {
     /// Records the decode of a legal instruction.
     pub fn on_decode(&mut self, instr: &Instr, map: &mut CoverageMap) {
         map.cover(self.legal_id);
-        map.cover(self.op_seen[&instr.op]);
+        map.cover(self.op_seen[instr.op.index()]);
+        let class = instr.op.class().index();
         // The "other direction" of each op's site is reachable by decoding a
         // different op of the same class, mirroring the else-branches of a
         // per-class decode tree.
-        for op in Op::of_class(instr.op.class()) {
+        for &(op, other) in &self.class_others[class] {
             if op != instr.op {
-                map.cover(self.op_other[&op]);
+                map.cover(other);
             }
         }
-        let class = instr.op.class();
-        let (zero_t, zero_f) = self.class_rd_zero[&class];
+        let [(zero_t, zero_f), (same_t, same_f), (neg_t, neg_f)] = self.class_crosses[class];
         map.cover(if instr.rd.is_zero() { zero_t } else { zero_f });
-        let (same_t, same_f) = self.class_same_src[&class];
         map.cover(if instr.rs1 == instr.rs2 { same_t } else { same_f });
-        let (neg_t, neg_f) = self.class_neg_imm[&class];
         map.cover(if instr.imm < 0 { neg_t } else { neg_f });
 
         self.decoded_count += 1;
@@ -209,5 +204,38 @@ mod tests {
         }
         assert!(!map.is_covered(space.lookup("decoder", "rvc_quadrant0", true).unwrap()));
         assert!(!map.is_covered(space.lookup("decoder", "smode_csr", true).unwrap()));
+    }
+
+    #[test]
+    fn every_op_covers_exactly_its_named_points() {
+        let (space, mut decoder) = setup(0);
+        let point = |site: String, direction| space.lookup("decoder", &site, direction).unwrap();
+        for op in Op::ALL {
+            let instr =
+                Instr { op, rd: Gpr::Zero, rs1: Gpr::A1, rs2: Gpr::A2, imm: -4 }.normalize();
+            let mut map = CoverageMap::for_space(&space);
+            decoder.on_decode(&instr, &mut map);
+            for other in Op::ALL {
+                let site = format!("op_{}", other.mnemonic());
+                let same_class = other != op && other.class() == op.class();
+                let seen = map.is_covered(point(site.clone(), true));
+                assert_eq!(seen, other == op, "{op:?}: {site}");
+                let other_seen = map.is_covered(point(site.clone(), false));
+                assert_eq!(other_seen, same_class, "{op:?}: {site}");
+            }
+            for class in OpClass::ALL {
+                let crosses = [
+                    (format!("{class}_rd_is_x0"), instr.rd.is_zero()),
+                    (format!("{class}_rs1_eq_rs2"), instr.rs1 == instr.rs2),
+                    (format!("{class}_imm_negative"), instr.imm < 0),
+                ];
+                for (site, direction) in crosses {
+                    let own = class == op.class();
+                    let hit = map.is_covered(point(site.clone(), direction));
+                    assert_eq!(hit, own, "{op:?}: {site}");
+                    assert!(!map.is_covered(point(site.clone(), !direction)), "{op:?}: {site}");
+                }
+            }
+        }
     }
 }

@@ -1,10 +1,5 @@
 //! Execute-stage model: ALU, multiplier/divider and branch-unit coverage.
 
-// detlint: allow-file(default-hasher) -- the per-class id maps are built
-// once from fixed registration order and then only probed by key; nothing
-// iterates them, so coverage bytes are hash-order independent.
-use std::collections::HashMap;
-
 use coverage::{CoverPointId, CoverageMap, CoverageSpace};
 use riscv::{Instr, Op, OpClass};
 
@@ -19,8 +14,9 @@ use riscv::{Instr, Op, OpClass};
 /// * branch-comparator equal/less cross outcomes.
 #[derive(Debug, Clone)]
 pub struct ExecuteModel {
-    result_zero: HashMap<OpClass, (CoverPointId, CoverPointId)>,
-    result_negative: HashMap<OpClass, (CoverPointId, CoverPointId)>,
+    // Indexed by `OpClass::index()`.
+    result_zero: Vec<(CoverPointId, CoverPointId)>,
+    result_negative: Vec<(CoverPointId, CoverPointId)>,
     adder_overflow: (CoverPointId, CoverPointId),
     shift_buckets: Vec<CoverPointId>,
     mul_sign_cross: Vec<CoverPointId>,
@@ -36,11 +32,11 @@ impl ExecuteModel {
     /// Creates an execute model and registers its coverage points.
     pub fn new(space: &mut CoverageSpace) -> ExecuteModel {
         let module = "execute";
-        let mut result_zero = HashMap::new();
-        let mut result_negative = HashMap::new();
+        let mut result_zero = Vec::new();
+        let mut result_negative = Vec::new();
         for class in OpClass::ALL {
-            result_zero.insert(class, space.register_site(module, format!("{class}_result_zero")));
-            result_negative.insert(class, space.register_site(module, format!("{class}_result_negative")));
+            result_zero.push(space.register_site(module, format!("{class}_result_zero")));
+            result_negative.push(space.register_site(module, format!("{class}_result_negative")));
         }
         let adder_overflow = space.register_site(module, "adder_overflow");
         let shift_buckets = (0..4)
@@ -84,11 +80,11 @@ impl ExecuteModel {
         result: Option<u64>,
         map: &mut CoverageMap,
     ) {
-        let class = instr.op.class();
+        let class = instr.op.class().index();
         if let Some(value) = result {
-            let (zero_t, zero_f) = self.result_zero[&class];
+            let (zero_t, zero_f) = self.result_zero[class];
             map.cover(if value == 0 { zero_t } else { zero_f });
-            let (neg_t, neg_f) = self.result_negative[&class];
+            let (neg_t, neg_f) = self.result_negative[class];
             map.cover(if (value as i64) < 0 { neg_t } else { neg_f });
         }
 
@@ -225,5 +221,26 @@ mod tests {
         assert!(map.is_covered(space.lookup("execute", "cmp_equal", true).unwrap()));
         exec.on_execute(&blt, (-3i64) as u64, 7, None, &mut map);
         assert!(map.is_covered(space.lookup("execute", "cmp_signed_less", true).unwrap()));
+    }
+
+    #[test]
+    fn every_class_hits_its_named_result_points() {
+        let (space, exec) = setup();
+        let point = |site: String, direction| space.lookup("execute", &site, direction).unwrap();
+        for class in OpClass::ALL {
+            let op = Op::of_class(class).next().expect("every class has an op");
+            let instr = Instr { op, rd: Gpr::A0, rs1: Gpr::A1, rs2: Gpr::A2, imm: 0 }.normalize();
+            let mut map = CoverageMap::for_space(&space);
+            exec.on_execute(&instr, 1, 2, Some(0), &mut map);
+            exec.on_execute(&instr, 1, 2, Some((-1i64) as u64), &mut map);
+            for other in OpClass::ALL {
+                for site in [format!("{other}_result_zero"), format!("{other}_result_negative")] {
+                    for direction in [true, false] {
+                        let hit = map.is_covered(point(site.clone(), direction));
+                        assert_eq!(hit, other == class, "{op:?}: {site} {direction}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -17,6 +17,13 @@
 //! points they expose are (a) numerous, (b) unevenly reachable and
 //! (c) dependent on the instruction mix of the test program, which is what
 //! makes seed selection worth optimising.
+//!
+//! Event methods run once per committed instruction, so the coverage-point
+//! ids they use live in dense tables indexed by
+//! [`Op::index`](riscv::Op::index), [`OpClass::index`] or a fixed position
+//! (a register number, a position in
+//! [`CsrAddr::IMPLEMENTED`](riscv::CsrAddr::IMPLEMENTED)). They are never
+//! hashed: a component keeps no map keyed by op, class or CSR.
 
 pub mod cache;
 pub mod csrfile;
@@ -35,6 +42,23 @@ pub use frontend::FrontendModel;
 pub use lsu::{LsuModel, LsuOutcome};
 pub use rob::RobModel;
 pub use scoreboard::ScoreboardModel;
+
+use riscv::OpClass;
+
+/// Maps every [`OpClass::index`] to the class's position in `classes`, or
+/// `None` for a class `classes` leaves out: the ordinal table behind the
+/// components whose crosses cover only some classes.
+const fn class_slots<const N: usize>(
+    classes: [OpClass; N],
+) -> [Option<usize>; OpClass::ALL.len()] {
+    let mut slots = [None; OpClass::ALL.len()];
+    let mut i = 0;
+    while i < N {
+        slots[classes[i].index()] = Some(i);
+        i += 1;
+    }
+    slots
+}
 
 /// Buckets a numeric value into one of `buckets` coverage bins using
 /// power-of-two-ish thresholds (0, 1, 2, 4, 8, …).

@@ -3,7 +3,7 @@
 use coverage::{CoverPointId, CoverageMap, CoverageSpace};
 use riscv::{Instr, OpClass};
 
-use super::bucket;
+use super::{bucket, class_slots};
 
 /// Re-order buffer, rename and issue model for the superscalar core.
 ///
@@ -43,6 +43,9 @@ const LANE_CLASSES: [OpClass; 6] = [
     OpClass::Store,
     OpClass::Branch,
 ];
+
+/// Position of each class in [`LANE_CLASSES`], by [`OpClass::index`].
+const LANE_SLOTS: [Option<usize>; OpClass::ALL.len()] = class_slots(LANE_CLASSES);
 
 impl RobModel {
     /// Creates a ROB model with `rob_entries` entries and `lanes` issue lanes.
@@ -124,7 +127,7 @@ impl RobModel {
 
         // Issue-lane utilisation: the lane is picked round-robin per dispatch,
         // which approximates a banked issue queue.
-        if let Some(class_index) = LANE_CLASSES.iter().position(|c| *c == class) {
+        if let Some(class_index) = LANE_SLOTS[class.index()] {
             let lane = (self.dispatched as usize) % self.lanes;
             map.cover(self.lane_class_ids[lane * LANE_CLASSES.len() + class_index]);
         }

@@ -3,7 +3,7 @@
 use coverage::{CoverPointId, CoverageMap, CoverageSpace};
 use riscv::{Gpr, Instr, OpClass};
 
-use super::bucket;
+use super::{bucket, class_slots};
 
 /// Scoreboard / hazard-tracking model for in-order issue cores.
 ///
@@ -37,6 +37,9 @@ pub struct ScoreboardModel {
 
 const UNIT_CLASSES: [OpClass; 5] =
     [OpClass::Arith, OpClass::Mul, OpClass::Div, OpClass::Load, OpClass::Csr];
+
+/// Position of each class in [`UNIT_CLASSES`], by [`OpClass::index`].
+const UNIT_SLOTS: [Option<usize>; OpClass::ALL.len()] = class_slots(UNIT_CLASSES);
 
 impl ScoreboardModel {
     /// Creates a scoreboard model and registers its coverage points.
@@ -106,7 +109,7 @@ impl ScoreboardModel {
                 let distance = (self.seq - writer_seq) as usize;
                 map.cover(self.raw_per_reg[src.index() as usize]);
                 map.cover(self.raw_distance[bucket(distance, self.distance_buckets)]);
-                if let Some(cross) = self.cross_index(writer_class, class) {
+                if let Some(cross) = Self::cross_index(writer_class, class) {
                     map.cover(self.unit_cross[cross]);
                 }
                 let (shadow_t, shadow_f) = self.long_latency_shadow;
@@ -127,9 +130,9 @@ impl ScoreboardModel {
         }
     }
 
-    fn cross_index(&self, producer: OpClass, consumer: OpClass) -> Option<usize> {
-        let p = UNIT_CLASSES.iter().position(|c| *c == producer)?;
-        let c = UNIT_CLASSES.iter().position(|c| *c == consumer)?;
+    fn cross_index(producer: OpClass, consumer: OpClass) -> Option<usize> {
+        let p = UNIT_SLOTS[producer.index()]?;
+        let c = UNIT_SLOTS[consumer.index()]?;
         Some(p * UNIT_CLASSES.len() + c)
     }
 

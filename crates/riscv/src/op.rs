@@ -72,6 +72,12 @@ impl OpClass {
         OpClass::System,
         OpClass::Fence,
     ];
+
+    /// Returns the class's declaration ordinal, its position in
+    /// [`OpClass::ALL`]. Dense per-class tables are indexed by it.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
 }
 
 impl fmt::Display for OpClass {
@@ -110,6 +116,12 @@ macro_rules! ops {
         impl Op {
             /// Every operation, in a stable order.
             pub const ALL: [Op; ops!(@count $($variant)+)] = [ $( Op::$variant, )+ ];
+
+            /// Returns the operation's declaration ordinal, its position in
+            /// [`Op::ALL`]. Dense per-operation tables are indexed by it.
+            pub const fn index(self) -> usize {
+                self as usize
+            }
 
             /// Returns the assembly mnemonic, e.g. `"addw"` or `"fence.i"`.
             pub fn mnemonic(self) -> &'static str {
@@ -307,6 +319,16 @@ mod tests {
             assert_eq!(Op::parse(op.mnemonic()), Some(op), "{op:?}");
         }
         assert_eq!(Op::parse("frobnicate"), None);
+    }
+
+    #[test]
+    fn ordinals_are_positions_in_all() {
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(op.index(), i, "{op:?}");
+        }
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i, "{class:?}");
+        }
     }
 
     #[test]

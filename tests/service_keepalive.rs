@@ -163,7 +163,12 @@ fn a_mid_request_disconnect_at_every_boundary_is_recovered() {
     .collect();
 
     for (request, fault) in cases {
-        let server = CampaignServer::bind("127.0.0.1:0", 1).expect("bind");
+        // A short idle deadline: `GarbageAt(40)` on the submit response
+        // corrupts the header block's line ends, so the client reads until
+        // the server closes the socket. The default 30 s would be waited out.
+        let server = CampaignServer::bind("127.0.0.1:0", 1)
+            .expect("bind")
+            .with_io_timeout(Some(Duration::from_millis(500)));
         let client = Client::new(server.local_addr());
         let handle = thread::spawn(move || server.serve());
 
