@@ -9,7 +9,10 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mabfuzz_bench::{campaign_config, fig3, processor_with_native_bugs, run_campaign, ExperimentBudget, FuzzerKind};
+use mabfuzz_bench::{
+    campaign_config, fig3, processor_with_native_bugs, run_campaign, ExperimentBudget, FuzzerKind,
+    LocalRunner, Parallelism, ShardPlan,
+};
 use proc_sim::ProcessorKind;
 
 fn print_fig3_reproduction() {
@@ -23,7 +26,9 @@ fn print_fig3_reproduction() {
         "\n=== Fig. 3 reproduction ({} tests per campaign, {} repetitions) ===",
         budget.coverage_tests, budget.repetitions
     );
-    let result = fig3::run(&budget);
+    let runner = LocalRunner::new(Parallelism::default());
+    let result = fig3::run_for_on(&ProcessorKind::ALL, &budget, &ShardPlan::serial(), &runner)
+        .expect("local cell execution cannot fail");
     for curves in &result.processors {
         println!("-- {} ({} coverage points) --", curves.processor, curves.space_len);
         println!("{}", result.to_table(curves.processor, 10));
@@ -43,7 +48,8 @@ fn bench_coverage_campaigns(c: &mut Criterion) {
             let id = BenchmarkId::new(core.name(), fuzzer.name());
             group.bench_with_input(id, &(core, fuzzer), |b, &(core, fuzzer)| {
                 b.iter(|| {
-                    run_campaign(fuzzer, processor_with_native_bugs(core), campaign_config(100), 5)
+                    let processor = processor_with_native_bugs(core);
+                    run_campaign(fuzzer, processor, campaign_config(100), 5, &ShardPlan::serial())
                 });
             });
         }

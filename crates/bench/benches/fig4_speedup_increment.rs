@@ -10,7 +10,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mab::BanditKind;
-use mabfuzz_bench::{campaign_config, fig4, processor_with_native_bugs, run_campaign, ExperimentBudget, FuzzerKind};
+use mabfuzz_bench::{
+    campaign_config, fig3, fig4, processor_with_native_bugs, run_campaign, ExperimentBudget,
+    FuzzerKind, LocalRunner, Parallelism, ShardPlan,
+};
 use proc_sim::ProcessorKind;
 
 fn print_fig4_reproduction() {
@@ -24,7 +27,10 @@ fn print_fig4_reproduction() {
         "\n=== Fig. 4 reproduction ({} tests per campaign, {} repetitions) ===",
         budget.coverage_tests, budget.repetitions
     );
-    let result = fig4::run(&budget);
+    let runner = LocalRunner::new(Parallelism::default());
+    let fig3 = fig3::run_for_on(&ProcessorKind::ALL, &budget, &ShardPlan::serial(), &runner)
+        .expect("local cell execution cannot fail");
+    let result = fig4::from_fig3(&fig3);
     println!("{}", result.to_table());
     if let Some(best) = result.best_speedup() {
         println!("best coverage speedup over TheHuzz: {best:.2}x\n");
@@ -48,12 +54,14 @@ fn bench_speedup_cells(c: &mut Criterion) {
                     processor_with_native_bugs(ProcessorKind::Rocket),
                     campaign_config(80),
                     3,
+                    &ShardPlan::serial(),
                 );
                 let variant = run_campaign(
                     FuzzerKind::MabFuzz(algorithm),
                     processor_with_native_bugs(ProcessorKind::Rocket),
                     campaign_config(80),
                     3,
+                    &ShardPlan::serial(),
                 );
                 let target = baseline.final_coverage();
                 (variant.tests_to_reach(target), variant.final_coverage())

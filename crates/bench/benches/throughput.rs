@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fuzzer::{ExecScratch, FuzzHarness};
-use mabfuzz_bench::{campaign_config, run_campaign, ExperimentBudget, FuzzerKind, Parallelism};
+use mabfuzz_bench::{campaign_config, run_campaign, ExperimentBudget, FuzzerKind, Parallelism, ShardPlan};
 use proc_sim::{BugSet, ProcessorKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,6 +114,7 @@ fn bench_campaign_throughput(c: &mut Criterion) {
                     mabfuzz_bench::processor_without_bugs(ProcessorKind::Rocket),
                     campaign_config(budget.coverage_tests),
                     budget.base_seed,
+                    &ShardPlan::serial(),
                 )
                 .final_coverage()
             });
@@ -140,10 +141,10 @@ fn bench_sharded_campaign(c: &mut Criterion) {
     shard_counts.sort_unstable();
     shard_counts.dedup();
     for shards in shard_counts {
-        let plan = mabfuzz_bench::ShardPlan::sharded(shards);
+        let plan = ShardPlan::sharded(shards);
         group.bench_with_input(BenchmarkId::from_parameter(shards), &plan, |b, plan| {
             b.iter(|| {
-                mabfuzz_bench::run_campaign_planned(
+                run_campaign(
                     FuzzerKind::MabFuzz(mab::BanditKind::Ucb1),
                     mabfuzz_bench::processor_without_bugs(ProcessorKind::Rocket),
                     campaign_config(budget.coverage_tests * 4),
@@ -174,6 +175,7 @@ fn bench_grid_scaling(c: &mut Criterion) {
                         mabfuzz_bench::processor_without_bugs(ProcessorKind::Rocket),
                         campaign_config(60),
                         seed,
+                        &ShardPlan::serial(),
                     )
                     .final_coverage()
                 })

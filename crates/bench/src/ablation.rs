@@ -13,8 +13,8 @@ use proc_sim::ProcessorKind;
 use serde::{Deserialize, Serialize};
 
 use crate::report::TextTable;
-use crate::runner::{CellRunner, LocalRunner};
-use crate::{campaign_config, ExperimentBudget, Parallelism, ShardPlan};
+use crate::runner::CellRunner;
+use crate::{campaign_config, ExperimentBudget, ShardPlan};
 
 /// One ablation data point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -67,7 +67,7 @@ impl AblationSweep {
 /// goes to `runner` — in-process threads for a [`LocalRunner`], remote
 /// workers under `experiments dispatch` — and the means fold the
 /// repetitions in order, so results are byte-identical for every
-/// [`Parallelism`] mode and every faithful runner.
+/// [`Parallelism`](crate::Parallelism) mode and every faithful runner.
 fn run_sweep_on(
     parameter: &str,
     settings: Vec<(String, CampaignSpec)>,
@@ -119,32 +119,8 @@ fn base_spec(budget: &ExperimentBudget) -> CampaignSpecBuilder {
         .campaign(campaign_config(budget.coverage_tests))
 }
 
-/// Sweeps the reward weight α.
-pub fn alpha_sweep(processor: ProcessorKind, budget: &ExperimentBudget) -> AblationSweep {
-    alpha_sweep_with(processor, budget, Parallelism::default())
-}
-
-/// Sweeps the reward weight α with explicit parallelism.
-pub fn alpha_sweep_with(
-    processor: ProcessorKind,
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-) -> AblationSweep {
-    alpha_sweep_planned(processor, budget, parallelism, &ShardPlan::serial())
-}
-
-/// Sweeps the reward weight α with intra-campaign sharding under `plan`.
-pub fn alpha_sweep_planned(
-    processor: ProcessorKind,
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-    plan: &ShardPlan,
-) -> AblationSweep {
-    alpha_sweep_on(processor, budget, plan, &LocalRunner::new(parallelism))
-        .expect("local cell execution cannot fail")
-}
-
-/// Sweeps the reward weight α with cell execution delegated to `runner`.
+/// Sweeps the reward weight α, every campaign sharded intra-campaign under
+/// `plan`, with cell execution delegated to `runner`.
 ///
 /// # Errors
 ///
@@ -167,32 +143,8 @@ pub fn alpha_sweep_on(
     run_sweep_on("alpha", settings, processor, budget, plan, runner)
 }
 
-/// Sweeps the reset threshold γ.
-pub fn gamma_sweep(processor: ProcessorKind, budget: &ExperimentBudget) -> AblationSweep {
-    gamma_sweep_with(processor, budget, Parallelism::default())
-}
-
-/// Sweeps the reset threshold γ with explicit parallelism.
-pub fn gamma_sweep_with(
-    processor: ProcessorKind,
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-) -> AblationSweep {
-    gamma_sweep_planned(processor, budget, parallelism, &ShardPlan::serial())
-}
-
-/// Sweeps the reset threshold γ with intra-campaign sharding under `plan`.
-pub fn gamma_sweep_planned(
-    processor: ProcessorKind,
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-    plan: &ShardPlan,
-) -> AblationSweep {
-    gamma_sweep_on(processor, budget, plan, &LocalRunner::new(parallelism))
-        .expect("local cell execution cannot fail")
-}
-
-/// Sweeps the reset threshold γ with cell execution delegated to `runner`.
+/// Sweeps the reset threshold γ, every campaign sharded intra-campaign
+/// under `plan`, with cell execution delegated to `runner`.
 ///
 /// # Errors
 ///
@@ -215,32 +167,8 @@ pub fn gamma_sweep_on(
     run_sweep_on("gamma", settings, processor, budget, plan, runner)
 }
 
-/// Sweeps the number of arms.
-pub fn arms_sweep(processor: ProcessorKind, budget: &ExperimentBudget) -> AblationSweep {
-    arms_sweep_with(processor, budget, Parallelism::default())
-}
-
-/// Sweeps the number of arms with explicit parallelism.
-pub fn arms_sweep_with(
-    processor: ProcessorKind,
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-) -> AblationSweep {
-    arms_sweep_planned(processor, budget, parallelism, &ShardPlan::serial())
-}
-
-/// Sweeps the number of arms with intra-campaign sharding under `plan`.
-pub fn arms_sweep_planned(
-    processor: ProcessorKind,
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-    plan: &ShardPlan,
-) -> AblationSweep {
-    arms_sweep_on(processor, budget, plan, &LocalRunner::new(parallelism))
-        .expect("local cell execution cannot fail")
-}
-
-/// Sweeps the number of arms with cell execution delegated to `runner`.
+/// Sweeps the number of arms, every campaign sharded intra-campaign under
+/// `plan`, with cell execution delegated to `runner`.
 ///
 /// # Errors
 ///
@@ -264,32 +192,9 @@ pub fn arms_sweep_on(
 }
 
 /// Compares MABFuzz with the paper's arm-reset feature against a variant
-/// whose γ is effectively infinite (arms are never reset).
-pub fn reset_ablation(processor: ProcessorKind, budget: &ExperimentBudget) -> AblationSweep {
-    reset_ablation_with(processor, budget, Parallelism::default())
-}
-
-/// Runs the arm-reset ablation with explicit parallelism.
-pub fn reset_ablation_with(
-    processor: ProcessorKind,
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-) -> AblationSweep {
-    reset_ablation_planned(processor, budget, parallelism, &ShardPlan::serial())
-}
-
-/// Runs the arm-reset ablation with intra-campaign sharding under `plan`.
-pub fn reset_ablation_planned(
-    processor: ProcessorKind,
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-    plan: &ShardPlan,
-) -> AblationSweep {
-    reset_ablation_on(processor, budget, plan, &LocalRunner::new(parallelism))
-        .expect("local cell execution cannot fail")
-}
-
-/// Runs the arm-reset ablation with cell execution delegated to `runner`.
+/// whose γ is effectively infinite (arms are never reset), every campaign
+/// sharded intra-campaign under `plan`, with cell execution delegated to
+/// `runner`.
 ///
 /// # Errors
 ///
@@ -317,11 +222,17 @@ pub fn reset_ablation_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LocalRunner, Parallelism};
+
+    fn local() -> LocalRunner {
+        LocalRunner::new(Parallelism::default())
+    }
 
     #[test]
     fn sweeps_produce_one_point_per_setting() {
         let budget = ExperimentBudget { coverage_tests: 40, repetitions: 1, ..ExperimentBudget::smoke() };
-        let sweep = gamma_sweep(ProcessorKind::Rocket, &budget);
+        let sweep = gamma_sweep_on(ProcessorKind::Rocket, &budget, &ShardPlan::serial(), &local())
+            .expect("local cell execution cannot fail");
         assert_eq!(sweep.points.len(), 3);
         assert!(sweep.points.iter().all(|p| p.final_coverage > 0.0));
         assert!(sweep.best().is_some());
@@ -333,7 +244,9 @@ mod tests {
     #[test]
     fn reset_ablation_disables_resets_in_the_no_reset_arm() {
         let budget = ExperimentBudget { coverage_tests: 60, repetitions: 1, ..ExperimentBudget::smoke() };
-        let sweep = reset_ablation(ProcessorKind::Rocket, &budget);
+        let sweep =
+            reset_ablation_on(ProcessorKind::Rocket, &budget, &ShardPlan::serial(), &local())
+                .expect("local cell execution cannot fail");
         assert_eq!(sweep.points.len(), 2);
         let no_reset = &sweep.points[1];
         assert_eq!(no_reset.resets, 0.0, "gamma=∞ must never reset an arm");

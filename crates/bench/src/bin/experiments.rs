@@ -401,7 +401,7 @@ fn run_single_campaign(args: &[String]) -> Result<(), String> {
         }
     }
     if json_output {
-        println!("{}", json::campaign(&spec, &outcome));
+        println!("{}", mabfuzz::report::campaign_json(&spec, &outcome));
         return Ok(());
     }
     println!("== Campaign: {} ==", outcome.stats.label());

@@ -7,11 +7,8 @@ use proc_sim::ProcessorKind;
 use serde::{Deserialize, Serialize};
 
 use crate::report::TextTable;
-use crate::runner::{CellRunner, LocalRunner};
-use crate::{
-    campaign_config, processor_with_native_bugs, ExperimentBudget, FuzzerKind, Parallelism,
-    ShardPlan,
-};
+use crate::runner::CellRunner;
+use crate::{campaign_config, processor_with_native_bugs, ExperimentBudget, FuzzerKind, ShardPlan};
 
 /// The coverage curves of every fuzzer on one processor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -74,42 +71,22 @@ impl Fig3Result {
     }
 }
 
-/// Runs the Fig. 3 experiment for the given processors, spreading the
-/// campaign grid across threads as requested.
+/// Runs the Fig. 3 experiment for the given processors, every MABFuzz
+/// campaign sharded intra-campaign under `plan` (the TheHuzz baseline stays
+/// serial), with cell execution delegated to `runner`: a
+/// [`LocalRunner`](crate::LocalRunner) spreads cells across in-process
+/// threads, `experiments dispatch` farms them out to remote workers.
 ///
 /// Each (processor, fuzzer) pair runs `budget.repetitions` campaigns of
 /// `budget.coverage_tests` tests; the reported curve is the per-sample mean.
-/// Results are byte-identical for every [`Parallelism`] mode: each cell's
-/// RNG seed is `base_seed + repetition` and the curve averaging folds the
-/// repetitions in order.
-pub fn run_for_with(
-    processors: &[ProcessorKind],
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-) -> Fig3Result {
-    run_for_planned(processors, budget, parallelism, &ShardPlan::serial())
-}
-
-/// Runs the Fig. 3 experiment with every MABFuzz campaign sharded
-/// intra-campaign under `plan` (the TheHuzz baseline stays serial).
-///
-/// Results are byte-identical across shard counts for a fixed batch size;
-/// callers composing thread budgets should pre-divide `parallelism` with
-/// [`Parallelism::with_shard_budget`] — the grid itself only spreads cells.
-pub fn run_for_planned(
-    processors: &[ProcessorKind],
-    budget: &ExperimentBudget,
-    parallelism: Parallelism,
-    plan: &ShardPlan,
-) -> Fig3Result {
-    run_for_on(processors, budget, plan, &LocalRunner::new(parallelism))
-        .expect("local cell execution cannot fail")
-}
-
-/// Runs the Fig. 3 experiment with cell execution delegated to `runner` —
-/// the seam `experiments dispatch` uses to farm cells out to remote
-/// workers. Any runner that executes the specs faithfully yields a result
-/// byte-identical to the local one.
+/// Results are byte-identical for every runner that executes the specs
+/// faithfully, every [`Parallelism`](crate::Parallelism) mode and every
+/// shard count at a fixed batch size: each cell's RNG seed is
+/// `base_seed + repetition` and the curve averaging folds the repetitions
+/// in order. Callers composing thread budgets should pre-divide the
+/// runner's parallelism with
+/// [`Parallelism::with_shard_budget`](crate::Parallelism::with_shard_budget)
+/// — the grid itself only spreads cells.
 ///
 /// # Errors
 ///
@@ -154,21 +131,6 @@ pub fn run_for_on(
     Ok(Fig3Result { processors: processor_curves, budget: budget.clone() })
 }
 
-/// Runs the Fig. 3 experiment for the given processors.
-pub fn run_for(processors: &[ProcessorKind], budget: &ExperimentBudget) -> Fig3Result {
-    run_for_with(processors, budget, Parallelism::default())
-}
-
-/// Runs the full Fig. 3 experiment (all three processors).
-pub fn run(budget: &ExperimentBudget) -> Fig3Result {
-    run_for(&ProcessorKind::ALL, budget)
-}
-
-/// Runs the full Fig. 3 experiment with explicit parallelism.
-pub fn run_with(budget: &ExperimentBudget, parallelism: Parallelism) -> Fig3Result {
-    run_for_with(&ProcessorKind::ALL, budget, parallelism)
-}
-
 fn averaged_curve(
     fuzzer: FuzzerKind,
     kind: ProcessorKind,
@@ -194,6 +156,12 @@ fn averaged_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LocalRunner, Parallelism};
+
+    fn run_for(processors: &[ProcessorKind], budget: &ExperimentBudget) -> Fig3Result {
+        run_for_on(processors, budget, &ShardPlan::serial(), &LocalRunner::new(Parallelism::default()))
+            .expect("local cell execution cannot fail")
+    }
 
     #[test]
     fn smoke_run_produces_curves_for_every_fuzzer() {

@@ -7,9 +7,6 @@
 //! explicit and stable: floats use Rust's shortest-round-trip `Display`,
 //! `None` renders as `null`.
 
-
-use mabfuzz::{CampaignSpec, MabFuzzOutcome};
-
 use crate::ablation::AblationSweep;
 use crate::fig3::Fig3Result;
 use crate::fig4::Fig4Result;
@@ -181,17 +178,6 @@ pub fn ablation(sweep: &AblationSweep) -> String {
 pub fn ablations(sweeps: &[AblationSweep]) -> String {
     let rendered: Vec<String> = sweeps.iter().map(ablation).collect();
     format!("[{}]", rendered.join(","))
-}
-
-/// Renders the outcome of one spec-driven campaign (`experiments run
-/// --spec`): label, policy, the spec that produced it, coverage curve,
-/// detections and per-arm summary — one deterministic JSON document.
-///
-/// Delegates to [`mabfuzz::report::campaign_json`], the workspace's single
-/// campaign-report renderer, so the CLI's document and the campaign
-/// service's `GET /campaigns/{id}/report` body cannot drift apart.
-pub fn campaign(spec: &CampaignSpec, outcome: &MabFuzzOutcome) -> String {
-    mabfuzz::report::campaign_json(spec, outcome)
 }
 
 #[cfg(test)]

@@ -155,17 +155,6 @@ pub fn campaign_spec(
         .expect("grid cells are valid by construction")
 }
 
-/// Runs one campaign of `fuzzer_kind` against `processor` and returns its
-/// statistics.
-pub fn run_campaign(
-    fuzzer_kind: FuzzerKind,
-    processor: Arc<dyn Processor>,
-    campaign: CampaignConfig,
-    rng_seed: u64,
-) -> CampaignStats {
-    run_campaign_planned(fuzzer_kind, processor, campaign, rng_seed, &ShardPlan::serial())
-}
-
 /// Runs one campaign of `fuzzer_kind` against `processor` under a
 /// [`ShardPlan`] and returns its statistics.
 ///
@@ -176,8 +165,9 @@ pub fn run_campaign(
 /// see the determinism contract in `fuzzer::shard`). The TheHuzz baseline
 /// has no round structure to batch, so it ignores the plan and stays
 /// serial — callers composing thread budgets should still reserve only one
-/// thread for its cells.
-pub fn run_campaign_planned(
+/// thread for its cells. Pass [`ShardPlan::serial`] for the published
+/// serial stream.
+pub fn run_campaign(
     fuzzer_kind: FuzzerKind,
     processor: Arc<dyn Processor>,
     campaign: CampaignConfig,
@@ -249,12 +239,14 @@ mod tests {
             processor_without_bugs(ProcessorKind::Rocket),
             config.clone(),
             1,
+            &ShardPlan::serial(),
         );
         let mabfuzz = run_campaign(
             FuzzerKind::MabFuzz(BanditKind::Ucb1),
             processor_without_bugs(ProcessorKind::Rocket),
             config,
             1,
+            &ShardPlan::serial(),
         );
         assert_eq!(baseline.tests_executed(), 15);
         assert_eq!(mabfuzz.tests_executed(), 15);

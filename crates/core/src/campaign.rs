@@ -6,9 +6,9 @@
 //! ([`Campaign::from_spec`]) or against a caller-supplied processor
 //! ([`Campaign::from_spec_on`]) — optionally decorated with streaming
 //! [`CampaignObserver`]s, and consumed by [`execute`](Campaign::execute).
-//! The legacy `MabFuzzer::run` / `run_sharded` constructors are thin
-//! compatibility wrappers over this type, and the experiment grid drives it
-//! through specs for every cell.
+//! The experiment grid, the `experiments` binary, the campaign service and
+//! the examples all reach it through specs; custom bandit policies plug in
+//! by name through [`mab::register_policy`].
 //!
 //! Both scheduling worlds run through here, and both speak the full
 //! [`CampaignObserver`] event protocol:
@@ -32,71 +32,96 @@ use std::sync::Arc;
 use coverage::CoverageMap;
 use fuzzer::shard::derive_stream_seed;
 use fuzzer::{
-    CampaignStats, DiffReport, ExecScratch, FuzzHarness, MutationEngine, SeedGenerator, ShardPlan,
-    ShardPool, TestCase, TheHuzzFuzzer,
+    CampaignStats, DiffReport, ExecScratch, FuzzHarness, MutationEngine, SeedGenerator, ShardPool,
+    TestCase, TheHuzzFuzzer,
 };
 use mab::Bandit;
 use proc_sim::Processor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use riscv::Program;
+use serde::{Deserialize, Serialize};
 
 use crate::arm::Arm;
 use crate::cancel::CancelToken;
-use crate::config::MabFuzzConfig;
 use crate::monitor::SaturationMonitor;
 use crate::observer::{
     ArmReset, ArmSelected, BatchFolded, CampaignFinished, CampaignObserver, CoverageMilestone,
     DecileTracker, DetectionObserved, TestFolded,
 };
-use crate::orchestrator::{ArmSummary, MabFuzzOutcome};
 use crate::reward::RewardParams;
 use crate::spec::{CampaignSpec, PolicySpec, SpecError};
 
-/// The assembled state of one MABFuzz campaign, ready to run.
-///
-/// This is what `MabFuzzer` has always carried; it now lives behind the
-/// [`Campaign`] session type so the spec path and the legacy constructors
-/// share one execution loop.
-pub(crate) struct MabSession {
-    pub(crate) harness: FuzzHarness,
-    pub(crate) config: MabFuzzConfig,
-    pub(crate) bandit: Box<dyn Bandit>,
-    pub(crate) rng: StdRng,
-    pub(crate) seed: u64,
-    pub(crate) seeds: SeedGenerator,
-    pub(crate) mutator: MutationEngine,
+/// Per-arm summary included in the campaign outcome.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ArmSummary {
+    /// Arm index.
+    pub index: usize,
+    /// Total pulls across the campaign.
+    pub pulls: u64,
+    /// Number of times the arm was reset.
+    pub resets: u64,
+    /// Coverage points reached by the arm's final seed family.
+    pub final_local_coverage: usize,
+}
+
+/// The result of one MABFuzz campaign.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MabFuzzOutcome {
+    /// The shared campaign statistics (coverage curve, detections, …).
+    pub stats: CampaignStats,
+    /// Per-arm activity summary.
+    pub arms: Vec<ArmSummary>,
+    /// Total number of arm resets across the campaign.
+    pub total_resets: u64,
+}
+
+/// The assembled state of one MABFuzz campaign, ready to run: the harness
+/// over the processor under test, the validated spec (label, arms, α, γ,
+/// budget, generator, RNG seed and shard plan all come from it) and the
+/// bandit policy it names.
+struct MabSession {
+    harness: FuzzHarness,
+    spec: CampaignSpec,
+    bandit: Box<dyn Bandit>,
 }
 
 impl MabSession {
-    pub(crate) fn new(
-        processor: Arc<dyn Processor>,
-        config: MabFuzzConfig,
-        bandit: Box<dyn Bandit>,
-        rng_seed: u64,
-    ) -> MabSession {
-        let harness = FuzzHarness::new(processor, config.campaign.max_steps_per_test);
-        let seeds = SeedGenerator::new(config.campaign.generator.clone());
-        let mutator = MutationEngine::new(config.campaign.generator.clone());
-        MabSession {
-            harness,
-            config,
-            bandit,
-            rng: StdRng::seed_from_u64(rng_seed),
-            seed: rng_seed,
-            seeds,
-            mutator,
-        }
+    fn label(&self) -> String {
+        format!("{} on {}", self.spec.label(), self.harness.processor().name())
     }
 }
 
 enum CampaignKind {
     Baseline(TheHuzzFuzzer),
-    Mab { session: MabSession, plan: ShardPlan },
+    Mab(MabSession),
 }
 
 /// One fuzzing campaign, assembled and ready to
 /// [`execute`](Campaign::execute).
+///
+/// A MABFuzz campaign is a multi-armed-bandit seed scheduler wrapped around
+/// the same simulate–compare–mutate loop as the baseline. One fuzzing
+/// iteration (one "pull") follows Fig. 2 of the paper:
+///
+/// 1. the bandit selects an arm,
+/// 2. the next test from that arm's pool is simulated on the DUT and the
+///    golden model (differential testing),
+/// 3. the test's coverage is folded into the arm-local and global coverage,
+///    yielding `|cov_L|` and `|cov_G|`,
+/// 4. if the test found new coverage it is mutated and its children join the
+///    arm's pool,
+/// 5. the reward `α·|cov_L| + (1 − α)·|cov_G|` (normalised for EXP3) updates
+///    the bandit,
+/// 6. the γ-window monitor decides whether the arm is depleted; if so the arm
+///    is reset: fresh seed, cleared pool and local coverage, and re-initialised
+///    bandit statistics.
+///
+/// Under a sharded plan each round pulls a batch of tests from the selected
+/// arm, simulates it across the shard workers and folds the observations
+/// back in `test_index` order; the report is byte-identical for every shard
+/// count at a fixed batch size (see the determinism contract in
+/// [`fuzzer::shard`]).
 ///
 /// # Example
 ///
@@ -178,22 +203,15 @@ impl Campaign {
                         spec: spec.arms(),
                     });
                 }
-                let mut session =
-                    MabSession::new(processor, spec.to_mab_config(), bandit, spec.rng_seed);
+                let mut harness = FuzzHarness::new(processor, spec.campaign.max_steps_per_test);
                 // Shard workers clone this harness, so the signal propagates
                 // to every worker and `coverage_space_len` sizes the stats
                 // and arms for the selected space automatically.
-                session.harness.set_coverage_signal(spec.coverage_signal);
-                CampaignKind::Mab { session, plan: spec.plan() }
+                harness.set_coverage_signal(spec.coverage_signal);
+                CampaignKind::Mab(MabSession { harness, spec: spec.clone(), bandit })
             }
         };
         Ok(Campaign { kind, observers: Vec::new(), cancel: None })
-    }
-
-    /// Assembles a MABFuzz campaign from already-built parts (the legacy
-    /// `MabFuzzer` wrappers route through here).
-    pub(crate) fn from_session(session: MabSession, plan: ShardPlan) -> Campaign {
-        Campaign { kind: CampaignKind::Mab { session, plan }, observers: Vec::new(), cancel: None }
     }
 
     /// Attaches a streaming observer (builder style). Observers receive the
@@ -228,9 +246,7 @@ impl Campaign {
     pub fn label(&self) -> String {
         match &self.kind {
             CampaignKind::Baseline(fuzzer) => format!("TheHuzz on {}", fuzzer.processor_name()),
-            CampaignKind::Mab { session, .. } => {
-                format!("{} on {}", session.config.label(), session.harness.processor().name())
-            }
+            CampaignKind::Mab(session) => session.label(),
         }
     }
 
@@ -241,7 +257,7 @@ impl Campaign {
     pub fn coverage_space_len(&self) -> usize {
         match &self.kind {
             CampaignKind::Baseline(fuzzer) => fuzzer.coverage_space_len(),
-            CampaignKind::Mab { session, .. } => session.harness.coverage_space_len(),
+            CampaignKind::Mab(session) => session.harness.coverage_space_len(),
         }
     }
 
@@ -259,9 +275,7 @@ impl Campaign {
             CampaignKind::Baseline(fuzzer) => {
                 execute_baseline(fuzzer, &mut self.observers, self.cancel.as_ref())
             }
-            CampaignKind::Mab { session, plan } => {
-                execute_mab(session, &plan, self.observers, self.cancel.as_ref())
-            }
+            CampaignKind::Mab(session) => execute_mab(session, self.observers, self.cancel.as_ref()),
         }
     }
 }
@@ -368,33 +382,35 @@ fn execute_baseline(
 /// pool), fold the outcomes in `test_index` order.
 fn execute_mab(
     session: MabSession,
-    plan: &ShardPlan,
     observers: Vec<Box<dyn CampaignObserver>>,
     cancel: Option<&CancelToken>,
 ) -> MabFuzzOutcome {
-    let label = format!("{} on {}", session.config.label(), session.harness.processor().name());
-    let space_len = session.harness.coverage_space_len();
-    let max_tests = session.config.campaign.max_tests;
-    let campaign_seed = session.seed;
+    let label = session.label();
+    let MabSession { harness, spec, bandit } = session;
+    let plan = spec.plan();
+    let config = &spec.campaign;
+    let space_len = harness.coverage_space_len();
+    let max_tests = config.max_tests;
+    let campaign_seed = spec.rng_seed;
     // Per-test derived RNG streams are a batched-mode feature; the
-    // batch-size-1 plan keeps every draw on the main RNG so `run()`
-    // reproduces the pre-sharding serial campaigns byte for byte.
+    // batch-size-1 plan keeps every draw on the main RNG so serial
+    // campaigns reproduce the pre-sharding stream byte for byte.
     let legacy_stream = plan.batch_size() == 1;
-    let pool = (plan.shards() > 1).then(|| ShardPool::new(&session.harness, plan.shards()));
+    let pool = (plan.shards() > 1).then(|| ShardPool::new(&harness, plan.shards()));
     let mut scratch = ExecScratch::new();
 
     let mut fold = CampaignFold {
-        stats: CampaignStats::new(label, space_len, session.config.campaign.sample_interval),
+        stats: CampaignStats::new(label, space_len, config.sample_interval),
         arms: Vec::new(),
-        monitor: SaturationMonitor::new(session.config.arms(), session.config.gamma),
-        bandit: session.bandit,
-        rng: session.rng,
-        seeds: session.seeds,
-        mutator: session.mutator,
-        reward_params: RewardParams::new(session.config.alpha),
+        monitor: SaturationMonitor::new(spec.arms(), spec.gamma),
+        bandit,
+        rng: StdRng::seed_from_u64(campaign_seed),
+        seeds: SeedGenerator::new(config.generator.clone()),
+        mutator: MutationEngine::new(config.generator.clone()),
+        reward_params: RewardParams::new(spec.alpha),
         space_len,
-        mutations_per_interesting_test: session.config.campaign.mutations_per_interesting_test,
-        stop_on_first_detection: session.config.campaign.stop_on_first_detection,
+        mutations_per_interesting_test: config.mutations_per_interesting_test,
+        stop_on_first_detection: config.stop_on_first_detection,
         total_resets: 0,
         pending_rewards: Vec::with_capacity(plan.batch_size()),
         arm_index: 0,
@@ -405,7 +421,7 @@ fn execute_mab(
     };
     // One seed per arm (Fig. 2: "Given a seed pool with each seed
     // corresponding to an arm").
-    fold.arms = (0..session.config.arms())
+    fold.arms = (0..spec.arms())
         .map(|index| Arm::new(index, fold.seeds.generate_seed(&mut fold.rng), space_len))
         .collect();
 
@@ -465,7 +481,7 @@ fn execute_mab(
             None => {
                 let mut stopped = false;
                 for (slot, test) in batch.iter().enumerate() {
-                    let view = session.harness.run_program_into(&test.program, &mut scratch);
+                    let view = harness.run_program_into(&test.program, &mut scratch);
                     if fold.fold_test(test, view.coverage, view.diff, lanes.get_mut(slot)) {
                         stopped = true;
                         break;
@@ -759,25 +775,132 @@ mod tests {
             .expect("valid spec")
     }
 
+    fn rocket() -> Arc<dyn Processor> {
+        Arc::new(RocketCore::new(BugSet::none()))
+    }
+
     #[test]
-    fn spec_execution_matches_the_legacy_wrapper_byte_for_byte() {
-        use crate::orchestrator::MabFuzzer;
+    fn campaign_runs_to_the_test_budget_for_every_algorithm() {
         for kind in BanditKind::ALL {
-            let spec = quick_spec(kind, 25);
-            let via_spec = Campaign::from_spec_on(
-                Arc::new(RocketCore::new(BugSet::none())),
-                &spec,
-            )
-            .unwrap()
-            .execute();
-            let via_wrapper = MabFuzzer::new(
-                Arc::new(RocketCore::new(BugSet::none())),
-                spec.to_mab_config(),
-                spec.rng_seed,
-            )
-            .run();
-            assert_eq!(via_spec, via_wrapper, "{kind}");
+            let outcome = Campaign::from_spec_on(rocket(), &quick_spec(kind, 25)).unwrap().execute();
+            assert_eq!(outcome.stats.tests_executed(), 25, "{kind}");
+            assert!(outcome.stats.final_coverage() > 100, "{kind}");
+            assert_eq!(outcome.arms.len(), 4);
+            let pulls: u64 = outcome.arms.iter().map(|a| a.pulls).sum();
+            assert!(pulls >= 25, "every executed test is a pull of some arm");
         }
+    }
+
+    #[test]
+    fn campaigns_are_reproducible_per_rng_seed() {
+        let mut spec = quick_spec(BanditKind::Ucb1, 20);
+        spec.rng_seed = 11;
+        let a = Campaign::from_spec_on(rocket(), &spec).unwrap().execute();
+        let b = Campaign::from_spec_on(rocket(), &spec).unwrap().execute();
+        assert_eq!(a.stats.final_coverage(), b.stats.final_coverage());
+        assert_eq!(a.stats.cumulative().history(), b.stats.cumulative().history());
+        assert_eq!(a.total_resets, b.total_resets);
+    }
+
+    #[test]
+    fn saturated_arms_get_reset_in_long_campaigns() {
+        let mut spec = quick_spec(BanditKind::EpsilonGreedy, 120);
+        spec.gamma = 2;
+        spec.campaign.mutations_per_interesting_test = 1;
+        spec.rng_seed = 5;
+        let outcome = Campaign::from_spec_on(rocket(), &spec).unwrap().execute();
+        assert!(outcome.total_resets > 0, "a 120-test campaign with gamma=2 must reset arms");
+        let resets_from_arms: u64 = outcome.arms.iter().map(|a| a.resets).sum();
+        assert_eq!(resets_from_arms, outcome.total_resets);
+    }
+
+    /// Detection mode on CVA6 with V5, serial (`shards == 1`) or sharded.
+    fn detection_outcome(shards: usize, batch_size: usize) -> MabFuzzOutcome {
+        let mut spec = quick_spec(BanditKind::Ucb1, 400);
+        spec.campaign.stop_on_first_detection = true;
+        spec.rng_seed = 2;
+        spec.shards = shards;
+        spec.batch_size = batch_size;
+        let processor = Arc::new(Cva6Core::new(BugSet::only(Vulnerability::V5MissingAccessFault)));
+        Campaign::from_spec_on(processor, &spec).unwrap().execute()
+    }
+
+    #[test]
+    fn detection_mode_stops_on_the_first_mismatch() {
+        let outcome = detection_outcome(1, 1);
+        let detection = outcome.stats.first_detection().expect("V5 triggers quickly");
+        assert_eq!(outcome.stats.tests_executed(), detection);
+    }
+
+    #[test]
+    fn sharded_detection_mode_stops_on_the_first_mismatch() {
+        let outcome = detection_outcome(2, 8);
+        let detection = outcome.stats.first_detection().expect("V5 triggers quickly");
+        assert_eq!(
+            outcome.stats.tests_executed(),
+            detection,
+            "outcomes after the detection are discarded unrecorded"
+        );
+    }
+
+    #[test]
+    fn a_registered_round_robin_policy_drives_a_campaign() {
+        /// A deliberately naive policy: round-robin over the arms.
+        struct RoundRobin {
+            kind: BanditKind,
+            next: usize,
+            pulls: Vec<u64>,
+        }
+        impl Bandit for RoundRobin {
+            fn kind(&self) -> BanditKind {
+                self.kind
+            }
+            fn arms(&self) -> usize {
+                self.pulls.len()
+            }
+            fn select(&mut self, _rng: &mut dyn rand::RngCore) -> usize {
+                let arm = self.next;
+                self.next = (self.next + 1) % self.pulls.len();
+                arm
+            }
+            fn update(&mut self, arm: usize, _reward: f64) {
+                self.pulls[arm] += 1;
+            }
+            fn reset_arm(&mut self, arm: usize) {
+                self.pulls[arm] = 0;
+            }
+            fn value(&self, _arm: usize) -> f64 {
+                0.0
+            }
+            fn pulls(&self, arm: usize) -> u64 {
+                self.pulls[arm]
+            }
+        }
+
+        let kind = mab::register_policy("campaign-test-round-robin", |params: &mab::PolicyParams| {
+            Box::new(RoundRobin { kind: params.kind, next: 0, pulls: vec![0; params.arms] })
+        })
+        .expect("fresh name");
+        let mut spec = quick_spec(kind, 12);
+        spec.rng_seed = 4;
+        let outcome = Campaign::from_spec_on(rocket(), &spec).unwrap().execute();
+        assert_eq!(outcome.stats.tests_executed(), 12);
+        assert!(outcome.stats.label().contains("campaign-test-round-robin"));
+        // Round-robin spreads the twelve pulls evenly over the four arms.
+        assert!(outcome.arms.iter().all(|a| a.pulls == 3));
+    }
+
+    #[test]
+    fn a_policy_with_the_wrong_arm_count_is_rejected() {
+        let kind = mab::register_policy("campaign-test-two-arms", |_: &mab::PolicyParams| {
+            Box::new(mab::Ucb1::new(2))
+        })
+        .expect("fresh name");
+        let error = Campaign::from_spec_on(rocket(), &quick_spec(kind, 5))
+            .expect_err("a 2-arm bandit cannot schedule 4 seeds");
+        assert_eq!(error, SpecError::ArmCountMismatch { bandit: 2, spec: 4 });
+        let message = error.to_string();
+        assert!(message.contains("2 arms") && message.contains("declares 4"), "got: {message}");
     }
 
     #[test]

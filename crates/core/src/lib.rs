@@ -13,20 +13,20 @@
 //!   `R_t(a) = α·|cov_L| + (1 − α)·|cov_G|` of §III-B;
 //! * [`SaturationMonitor`] — the γ-window monitor of §III-C that detects
 //!   depleted arms;
-//! * [`MabFuzzer`] — the orchestrator of Fig. 2: select an arm with the
-//!   modified MAB algorithm, simulate a batch of its tests (serially or
-//!   across the shard workers of a [`ShardPlan`] — campaign reports are
-//!   byte-identical either way, see the determinism contract in
-//!   [`fuzzer::shard`]), mutate, reward, and reset saturated arms.
+//! * [`Campaign`] — the orchestrator of Fig. 2 and the one way to run a
+//!   campaign: select an arm with the modified MAB algorithm, simulate a
+//!   batch of its tests (serially or across the shard workers of a
+//!   [`ShardPlan`] — campaign reports are byte-identical either way, see the
+//!   determinism contract in [`fuzzer::shard`]), mutate, reward, and reset
+//!   saturated arms. `Campaign::from_spec(&spec)?.execute()` runs anything
+//!   from the TheHuzz baseline to a custom bandit registered at runtime
+//!   through [`mab::register_policy`].
 //!
 //! Around that core, the campaign-facing API is declarative:
 //!
 //! * [`CampaignSpec`] — one validated, JSON-serializable description of a
 //!   whole campaign (policy, α/γ/ε/η, budget, generator, RNG seed, shard
 //!   plan, optionally the processor), with a fluent builder;
-//! * [`Campaign`] — the session type: `Campaign::from_spec(&spec)?.execute()`
-//!   runs anything from the TheHuzz baseline to a custom bandit registered
-//!   at runtime through [`mab::register_policy`];
 //! * [`CampaignObserver`] — streaming per-round/per-test events (arm
 //!   selected, test folded, detection, arm reset, coverage milestone) for
 //!   monitoring a campaign while it runs; the built-in statistics are
@@ -69,8 +69,9 @@
 //! assert_eq!(CampaignSpec::from_json(&spec.to_json()).unwrap(), spec);
 //! ```
 //!
-//! The imperative constructors (`MabFuzzer::new(...).run()`) remain as thin
-//! compatibility wrappers over [`Campaign`] and keep working unchanged.
+//! Against a processor built by the caller (a custom model, or one shared
+//! across many cells), use [`Campaign::from_spec_on`] with a spec that has
+//! no processor section.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,22 +79,19 @@
 pub mod arm;
 pub mod campaign;
 pub mod cancel;
-pub mod config;
 pub mod event_log;
 pub mod json_value;
 mod json_text;
 pub mod monitor;
 pub mod observer;
-pub mod orchestrator;
 pub mod progress;
 pub mod report;
 pub mod reward;
 pub mod spec;
 
 pub use arm::Arm;
-pub use campaign::Campaign;
+pub use campaign::{ArmSummary, Campaign, MabFuzzOutcome};
 pub use cancel::CancelToken;
-pub use config::MabFuzzConfig;
 pub use event_log::{EventBroadcast, EventLog, EventLogHealth, SharedBuffer};
 pub use fuzzer::{CoverageSignal, ShardPlan, ShardPool};
 pub use monitor::SaturationMonitor;
@@ -103,7 +101,6 @@ pub use observer::{
 };
 pub use fuzzer::shard::derive_stream_seed;
 pub use progress::ProgressMonitor;
-pub use orchestrator::{ArmSummary, MabFuzzOutcome, MabFuzzer};
 pub use report::CampaignSummary;
 pub use reward::RewardParams;
 pub use spec::{

@@ -1,9 +1,9 @@
 //! Deterministic JSON rendering of one campaign's outcome.
 //!
 //! [`campaign_json`] is **the** campaign report document of the workspace:
-//! it is what `experiments run --spec file.json --json` prints (the bench
-//! crate's `json::campaign` delegates here) and what the campaign service
-//! serves from `GET /campaigns/{id}/report` — one renderer, so a report
+//! it is what `experiments run --spec file.json --json` prints and what the
+//! campaign service serves from `GET /campaigns/{id}/report` — one
+//! renderer, so a report
 //! fetched over the wire is byte-identical to the one the CLI would have
 //! printed for the same spec, and the concurrency-equivalence suite can
 //! `cmp` the two directly.
@@ -18,7 +18,7 @@ use coverage::CoverageSeries;
 
 use crate::json_text::push_json_string;
 use crate::json_value;
-use crate::orchestrator::MabFuzzOutcome;
+use crate::campaign::MabFuzzOutcome;
 use crate::spec::CampaignSpec;
 
 /// Renders a JSON string literal (quoted, escaped) under the workspace's

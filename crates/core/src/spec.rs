@@ -5,11 +5,10 @@
 //! [`BanditKind`], including custom policies registered through
 //! [`mab::register_policy`]), the reward/reset parameters (α, γ, ε, η), the
 //! shared fuzzing-campaign configuration (budget, mutation counts, program
-//! generator), the RNG seed and the shard plan. It subsumes what previously
-//! lived across `MabFuzzConfig`, `CampaignConfig` and ad-hoc
-//! (seed, plan) call arguments, and it is what the experiment grid, the
-//! `experiments` binary (`experiments run --spec file.json`) and the
-//! [`Campaign`](crate::Campaign) session type consume.
+//! generator), the RNG seed and the shard plan. It is the only way to
+//! describe a campaign: the experiment grid, the `experiments` binary
+//! (`experiments run --spec file.json`), the campaign service and the
+//! [`Campaign`](crate::Campaign) session type all consume it.
 //!
 //! Specs are built fluently and validated once, at [`build`]:
 //!
@@ -49,7 +48,6 @@ use proc_sim::{BugSet, Processor, ProcessorKind, Vulnerability};
 use riscv::gen::{ClassWeights, GeneratorConfig};
 use serde::{Deserialize, Serialize};
 
-use crate::config::MabFuzzConfig;
 use crate::json_value as json;
 
 /// Which scheduling policy drives the campaign.
@@ -304,24 +302,6 @@ impl CampaignSpec {
         CampaignSpecBuilder::default()
     }
 
-    /// Re-expresses a legacy [`MabFuzzConfig`] (+ seed + plan) as a spec —
-    /// the migration path for code still assembling configs imperatively.
-    pub fn from_mab_config(config: &MabFuzzConfig, rng_seed: u64, plan: &ShardPlan) -> CampaignSpec {
-        CampaignSpec {
-            policy: PolicySpec::Bandit(config.algorithm),
-            alpha: config.alpha,
-            gamma: config.gamma,
-            epsilon: config.epsilon,
-            eta: config.eta,
-            rng_seed,
-            shards: plan.shards(),
-            batch_size: plan.batch_size(),
-            coverage_signal: CoverageSignal::Point,
-            processor: None,
-            campaign: config.campaign.clone(),
-        }
-    }
-
     /// Number of arms (the campaign's `num_seeds`).
     pub fn arms(&self) -> usize {
         self.campaign.num_seeds
@@ -345,24 +325,6 @@ impl CampaignSpec {
     /// The bandit-policy construction parameters the spec describes.
     pub fn policy_params(&self, kind: BanditKind) -> PolicyParams {
         PolicyParams { kind, arms: self.arms(), epsilon: self.epsilon, eta: self.eta }
-    }
-
-    /// Re-expresses the spec as the legacy [`MabFuzzConfig`] the orchestrator
-    /// layers consume. For the baseline policy the algorithm field is
-    /// meaningless and defaults to UCB.
-    pub fn to_mab_config(&self) -> MabFuzzConfig {
-        let algorithm = match self.policy {
-            PolicySpec::Baseline => BanditKind::Ucb1,
-            PolicySpec::Bandit(kind) => kind,
-        };
-        MabFuzzConfig {
-            campaign: self.campaign.clone(),
-            algorithm,
-            alpha: self.alpha,
-            gamma: self.gamma,
-            epsilon: self.epsilon,
-            eta: self.eta,
-        }
     }
 
     /// Checks every invariant of the spec.
@@ -879,6 +841,8 @@ mod tests {
         assert_eq!(spec.arms(), 10);
         assert!((spec.alpha - 0.25).abs() < 1e-12);
         assert_eq!(spec.gamma, 3);
+        assert!((spec.epsilon - 0.1).abs() < 1e-12);
+        assert!((spec.eta - 0.1).abs() < 1e-12);
         assert_eq!(spec.plan(), ShardPlan::serial());
         assert_eq!(spec.label(), "MABFuzz: UCB");
         assert!(spec.validate().is_ok());
@@ -1077,21 +1041,6 @@ mod tests {
             let error = CampaignSpec::from_json(document).expect_err(document);
             assert!(error.to_string().contains(needle), "`{document}` → `{error}`");
         }
-    }
-
-    #[test]
-    fn mab_config_round_trip() {
-        let mut config = MabFuzzConfig::new(BanditKind::Exp3).with_arms(5).with_alpha(0.5);
-        config.campaign.max_tests = 64;
-        let plan = ShardPlan::sharded(2).with_batch_size(4);
-        let spec = CampaignSpec::from_mab_config(&config, 11, &plan);
-        assert_eq!(spec.rng_seed, 11);
-        assert_eq!(spec.plan(), plan);
-        let back = spec.to_mab_config();
-        assert_eq!(back.algorithm, config.algorithm);
-        assert!((back.alpha - config.alpha).abs() < 1e-12);
-        assert_eq!(back.campaign.max_tests, 64);
-        assert_eq!(back.arms(), 5);
     }
 
     #[test]

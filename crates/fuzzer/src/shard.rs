@@ -7,7 +7,8 @@
 //! how a campaign splits its rounds, a persistent fork/join [`ShardPool`]
 //! whose workers each own their own [`ExecScratch`], and the
 //! [`derive_stream_seed`] per-test RNG derivation. The ordered reduce lives
-//! in the orchestrator (`mabfuzz::MabFuzzer::run_sharded`).
+//! in the campaign loop (`mabfuzz::Campaign::execute`), which reads its plan
+//! from the campaign spec.
 //!
 //! # Determinism contract
 //!
@@ -57,7 +58,7 @@
 //!
 //! A batch size of **1** additionally reproduces the pre-sharding serial
 //! campaign draw-for-draw (all randomness stays on the main RNG in that
-//! degenerate case), which is why `MabFuzzer::run` — the path every
+//! degenerate case), which is why the default spec plan — the path every
 //! published paper artefact goes through — is the `ShardPlan::serial()`
 //! special case of the sharded loop and stayed byte-identical.
 //!
@@ -117,9 +118,9 @@ impl ShardPlan {
     /// The environment variable [`ShardPlan::from_env`] reads.
     pub const ENV_VAR: &'static str = "MABFUZZ_SHARDS";
 
-    /// The legacy plan: one test per round on the calling thread. This is
-    /// the reference behaviour of `MabFuzzer::run` and of every published
-    /// experiment artefact.
+    /// The serial plan: one test per round on the calling thread. This is
+    /// the default plan of a campaign spec and the reference behaviour of
+    /// every published experiment artefact.
     pub fn serial() -> ShardPlan {
         ShardPlan { shards: 1, batch_size: 1 }
     }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use fuzzer::{CampaignConfig, CampaignStats, TheHuzzFuzzer};
 use mab::BanditKind;
-use mabfuzz::{MabFuzzConfig, MabFuzzer};
+use mabfuzz::{Campaign, CampaignSpec};
 use proc_sim::{Processor, ProcessorKind};
 
 fn main() {
@@ -36,9 +36,14 @@ fn main() {
     let mut results: Vec<CampaignStats> =
         vec![TheHuzzFuzzer::new(build_target(), campaign.clone(), 3).run()];
     for kind in BanditKind::ALL {
-        let mut config = MabFuzzConfig::new(kind);
-        config.campaign = campaign.clone();
-        results.push(MabFuzzer::new(build_target(), config, 3).run().stats);
+        let spec = CampaignSpec::builder()
+            .algorithm(kind)
+            .campaign(campaign.clone())
+            .rng_seed(3)
+            .build()
+            .expect("valid spec");
+        let outcome = Campaign::from_spec_on(build_target(), &spec).expect("valid spec").execute();
+        results.push(outcome.stats);
     }
 
     // Print the coverage curve samples side by side.

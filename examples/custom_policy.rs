@@ -1,10 +1,10 @@
 //! Registered custom policy: an optimistic Thompson variant end-to-end
 //! through the campaign-spec API.
 //!
-//! Where `examples/custom_bandit.rs` plugs a policy in imperatively through
-//! `MabFuzzer::with_bandit`, this example uses the *registry* redesign: a
-//! policy is registered once under a fresh name, and from then on it behaves
-//! exactly like a built-in algorithm — it parses by name, it is named in a
+//! This is how any policy implementing [`mab::Bandit`] — not just the
+//! algorithms evaluated in the paper — schedules MABFuzz seeds: a policy is
+//! registered once under a fresh name, and from then on it behaves exactly
+//! like a built-in algorithm — it parses by name, it is named in a
 //! declarative [`CampaignSpec`], it drives a full campaign through
 //! `Campaign::from_spec(...).execute()`, and it appears in the report label
 //! — **without editing a single line of the core or bench crates**.

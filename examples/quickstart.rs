@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use mab::BanditKind;
-use mabfuzz::{MabFuzzConfig, MabFuzzer};
+use mabfuzz::{Campaign, CampaignSpec};
 use proc_sim::{cores::RocketCore, Processor};
 
 fn main() {
@@ -22,10 +22,15 @@ fn main() {
         processor.bugs()
     );
 
-    // Paper-default MABFuzz configuration: 10 arms, alpha = 0.25, gamma = 3,
+    // Paper-default MABFuzz campaign: 10 arms, alpha = 0.25, gamma = 3,
     // UCB as the bandit algorithm.
-    let config = MabFuzzConfig::new(BanditKind::Ucb1).with_max_tests(400);
-    let outcome = MabFuzzer::new(processor, config, 42).run();
+    let spec = CampaignSpec::builder()
+        .algorithm(BanditKind::Ucb1)
+        .max_tests(400)
+        .rng_seed(42)
+        .build()
+        .expect("valid spec");
+    let outcome = Campaign::from_spec_on(processor, &spec).expect("valid spec").execute();
 
     println!("\n{}", outcome.stats);
     println!("arm resets during the campaign: {}", outcome.total_resets);

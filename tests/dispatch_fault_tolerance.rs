@@ -24,7 +24,12 @@ use proptest::prelude::*;
 /// Spawns a daemon on an ephemeral port; returns its client and the join
 /// handle of the serving thread.
 fn start_server(workers: usize) -> (Client, thread::JoinHandle<std::io::Result<()>>) {
-    let server = CampaignServer::bind("127.0.0.1:0", workers).expect("bind an ephemeral port");
+    // A short idle deadline: a chaos case that abandons a keep-alive
+    // connection must not wait out the server's 30 s default before the
+    // worker notices the socket is gone.
+    let server = CampaignServer::bind("127.0.0.1:0", workers)
+        .expect("bind an ephemeral port")
+        .with_io_timeout(Some(Duration::from_millis(500)));
     let client = Client::new(server.local_addr());
     let handle = thread::spawn(move || server.serve());
     (client, handle)

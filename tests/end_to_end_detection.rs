@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mabfuzz_suite::fuzzer::{CampaignConfig, TheHuzzFuzzer};
 use mabfuzz_suite::mab::BanditKind;
-use mabfuzz_suite::mabfuzz::{MabFuzzConfig, MabFuzzer};
+use mabfuzz_suite::mabfuzz::{Campaign, CampaignSpec, MabFuzzOutcome};
 use mabfuzz_suite::proc_sim::{BugSet, Processor, ProcessorKind, Vulnerability};
 
 fn detection_campaign(max_tests: u64) -> CampaignConfig {
@@ -20,6 +20,22 @@ fn detection_campaign(max_tests: u64) -> CampaignConfig {
 
 fn cva6_with(vulnerability: Vulnerability) -> Arc<dyn Processor> {
     Arc::from(ProcessorKind::Cva6.build(BugSet::only(vulnerability)))
+}
+
+/// A paper-default MABFuzz campaign of `kind` over `campaign`.
+fn mabfuzz(
+    processor: Arc<dyn Processor>,
+    kind: BanditKind,
+    campaign: CampaignConfig,
+    rng_seed: u64,
+) -> MabFuzzOutcome {
+    let spec = CampaignSpec::builder()
+        .algorithm(kind)
+        .campaign(campaign)
+        .rng_seed(rng_seed)
+        .build()
+        .expect("valid spec");
+    Campaign::from_spec_on(processor, &spec).expect("valid spec").execute()
 }
 
 #[test]
@@ -37,10 +53,8 @@ fn thehuzz_detects_the_easy_vulnerabilities() {
 #[test]
 fn every_mabfuzz_algorithm_detects_an_easy_vulnerability() {
     for kind in BanditKind::ALL {
-        let mut config = MabFuzzConfig::new(kind);
-        config.campaign = detection_campaign(1500);
-        let outcome =
-            MabFuzzer::new(cva6_with(Vulnerability::V5MissingAccessFault), config, 5).run();
+        let processor = cva6_with(Vulnerability::V5MissingAccessFault);
+        let outcome = mabfuzz(processor, kind, detection_campaign(1500), 5);
         assert!(
             outcome.stats.first_detection().is_some(),
             "MABFuzz ({kind}) failed to detect V5 within 1500 tests"
@@ -73,22 +87,19 @@ fn bug_free_campaigns_stay_clean() {
     let baseline = TheHuzzFuzzer::new(processor.clone(), config.clone(), 4).run();
     assert_eq!(baseline.mismatching_tests(), 0);
 
-    let mut mab_config = MabFuzzConfig::new(BanditKind::Exp3);
-    mab_config.campaign = config;
-    let mabfuzz = MabFuzzer::new(processor, mab_config, 4).run();
-    assert_eq!(mabfuzz.stats.mismatching_tests(), 0);
+    let outcome = mabfuzz(processor, BanditKind::Exp3, config, 4);
+    assert_eq!(outcome.stats.mismatching_tests(), 0);
 }
 
 #[test]
 fn campaign_statistics_are_internally_consistent() {
-    let mut config = MabFuzzConfig::new(BanditKind::Ucb1).with_max_tests(200);
-    config.campaign.max_steps_per_test = 250;
-    let outcome = MabFuzzer::new(
+    let config = CampaignConfig { max_tests: 200, max_steps_per_test: 250, ..CampaignConfig::default() };
+    let outcome = mabfuzz(
         Arc::from(ProcessorKind::Rocket.build_with_native_bugs()),
+        BanditKind::Ucb1,
         config,
         13,
-    )
-    .run();
+    );
     let stats = &outcome.stats;
     assert_eq!(stats.tests_executed(), 200);
     // The coverage series ends at the cumulative coverage.

@@ -17,7 +17,7 @@
 
 use std::path::PathBuf;
 
-use mabfuzz_bench::json;
+use mabfuzz_suite::mabfuzz::report::campaign_json;
 use mabfuzz_suite::mabfuzz::{Campaign, CampaignSpec, CoverageSignal};
 
 fn golden_dir() -> PathBuf {
@@ -39,7 +39,7 @@ fn edge_signal_campaign_matches_the_golden_snapshot() {
     let outcome = Campaign::from_spec(&spec).expect("self-contained spec").execute();
     assert_eq!(outcome.stats.tests_executed(), 120);
     assert!(outcome.stats.final_coverage() > 0, "edge bitmap never populated");
-    let mut rendered = json::campaign(&spec, &outcome);
+    let mut rendered = campaign_json(&spec, &outcome);
     rendered.push('\n'); // the binary prints one line
 
     let path = golden_dir().join("experiments_edge_smoke.json");

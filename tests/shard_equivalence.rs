@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use mabfuzz_suite::mab::BanditKind;
-use mabfuzz_suite::mabfuzz::{MabFuzzConfig, MabFuzzOutcome, MabFuzzer, ShardPlan};
+use mabfuzz_suite::mabfuzz::{Campaign, CampaignSpec, MabFuzzOutcome};
 use mabfuzz_suite::proc_sim::{BugSet, Processor, ProcessorKind, Vulnerability};
 
 /// Batch size shared by every plan in the suite: cross-shard-count
@@ -43,12 +43,20 @@ fn shard_counts() -> Vec<usize> {
 
 fn campaign(core: ProcessorKind, kind: BanditKind, shards: usize) -> MabFuzzOutcome {
     let processor: Arc<dyn Processor> = Arc::from(core.build(BugSet::none()));
-    let mut config = MabFuzzConfig::new(kind).with_arms(4).with_gamma(2).with_max_tests(MAX_TESTS);
-    config.campaign.max_steps_per_test = 200;
-    config.campaign.sample_interval = 5;
-    config.campaign.mutations_per_interesting_test = 2;
-    MabFuzzer::new(processor, config, 0xD15E + core as u64)
-        .run_sharded(&ShardPlan::sharded(shards).with_batch_size(BATCH))
+    let spec = CampaignSpec::builder()
+        .algorithm(kind)
+        .arms(4)
+        .gamma(2)
+        .max_tests(MAX_TESTS)
+        .max_steps_per_test(200)
+        .sample_interval(5)
+        .mutations_per_interesting_test(2)
+        .rng_seed(0xD15E + core as u64)
+        .shards(shards)
+        .batch_size(BATCH)
+        .build()
+        .expect("valid spec");
+    Campaign::from_spec_on(processor, &spec).expect("valid spec").execute()
 }
 
 #[test]
@@ -99,11 +107,18 @@ fn detection_campaigns_are_byte_identical_across_shard_counts() {
     let run = |shards: usize| {
         let processor: Arc<dyn Processor> =
             Arc::from(ProcessorKind::Cva6.build(BugSet::only(Vulnerability::V5MissingAccessFault)));
-        let mut config = MabFuzzConfig::new(BanditKind::Ucb1).with_arms(4).with_max_tests(600);
-        config.campaign.max_steps_per_test = 200;
-        config.campaign.stop_on_first_detection = true;
-        MabFuzzer::new(processor, config, 3)
-            .run_sharded(&ShardPlan::sharded(shards).with_batch_size(BATCH))
+        let spec = CampaignSpec::builder()
+            .algorithm(BanditKind::Ucb1)
+            .arms(4)
+            .max_tests(600)
+            .max_steps_per_test(200)
+            .stop_on_first_detection(true)
+            .rng_seed(3)
+            .shards(shards)
+            .batch_size(BATCH)
+            .build()
+            .expect("valid spec");
+        Campaign::from_spec_on(processor, &spec).expect("valid spec").execute()
     };
     let reference = run(1);
     let detection =
@@ -126,11 +141,17 @@ fn equivalence_holds_per_batch_size_not_across() {
         Arc::from(ProcessorKind::Rocket.build(BugSet::none()))
     };
     let run = |batch: usize| {
-        let mut config =
-            MabFuzzConfig::new(BanditKind::EpsilonGreedy).with_arms(4).with_max_tests(40);
-        config.campaign.max_steps_per_test = 200;
-        MabFuzzer::new(processor(), config, 11)
-            .run_sharded(&ShardPlan::sharded(2).with_batch_size(batch))
+        let spec = CampaignSpec::builder()
+            .algorithm(BanditKind::EpsilonGreedy)
+            .arms(4)
+            .max_tests(40)
+            .max_steps_per_test(200)
+            .rng_seed(11)
+            .shards(2)
+            .batch_size(batch)
+            .build()
+            .expect("valid spec");
+        Campaign::from_spec_on(processor(), &spec).expect("valid spec").execute()
     };
     let small = run(2);
     let large = run(8);

@@ -9,7 +9,7 @@
 //!   programmatically (`mabfuzz_bench::campaign_spec`), so the documented
 //!   schema and the in-process builders cannot drift apart;
 //! * executing it through `Campaign::from_spec` and rendering with
-//!   `json::campaign` reproduces `tests/golden/spec_campaign_smoke.json`
+//!   `report::campaign_json` reproduces `tests/golden/spec_campaign_smoke.json`
 //!   byte for byte (re-bless with `UPDATE_GOLDEN=1`, like the experiments
 //!   golden) — CI additionally checks the `experiments run --spec` binary
 //!   path against the same snapshot;
@@ -20,8 +20,9 @@
 
 use std::path::PathBuf;
 
-use mabfuzz_bench::{campaign_config, campaign_spec, json, FuzzerKind, ShardPlan};
+use mabfuzz_bench::{campaign_config, campaign_spec, FuzzerKind, ShardPlan};
 use mabfuzz_suite::mab::{self, Bandit, BanditKind, PolicyParams};
+use mabfuzz_suite::mabfuzz::report::campaign_json;
 use mabfuzz_suite::mabfuzz::{BugSpec, Campaign, CampaignSpec, PolicySpec, ProcessorSpec};
 use mabfuzz_suite::proc_sim::ProcessorKind;
 
@@ -56,7 +57,7 @@ fn spec_file_campaign_matches_the_golden_snapshot() {
     let spec = checked_in_spec();
     let outcome = Campaign::from_spec(&spec).expect("self-contained spec").execute();
     assert_eq!(outcome.stats.tests_executed(), 120);
-    let mut rendered = json::campaign(&spec, &outcome);
+    let mut rendered = campaign_json(&spec, &outcome);
     rendered.push('\n'); // the binary prints one line
 
     let path = golden_dir().join("spec_campaign_smoke.json");
