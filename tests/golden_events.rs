@@ -7,6 +7,8 @@
 //!   `campaign_spec.json` campaign (smoke-budget UCB on rocket, the same
 //!   campaign `experiments run --spec` replays); CI `cmp`s the binary's
 //!   `--events` output against it at `--shards 1` **and** `--shards 4`;
+//! * `events_mabfuzz_batched.jsonl` and `events_edge_smoke.jsonl` — the
+//!   same spec at `--batch 8` and under `--coverage-signal edge`;
 //! * `events_baseline_smoke.jsonl` — a small TheHuzz baseline campaign,
 //!   pinning the per-test protocol the instrumented FIFO loop emits.
 //!
@@ -18,7 +20,7 @@ use std::path::PathBuf;
 use mabfuzz_bench::{campaign_config, campaign_spec, FuzzerKind, ShardPlan};
 use mabfuzz_suite::mab::BanditKind;
 use mabfuzz_suite::mabfuzz::{
-    BugSpec, Campaign, CampaignSpec, EventLog, ProcessorSpec, SharedBuffer,
+    BugSpec, Campaign, CampaignSpec, CoverageSignal, EventLog, ProcessorSpec, SharedBuffer,
 };
 use mabfuzz_suite::proc_sim::ProcessorKind;
 
@@ -96,6 +98,31 @@ fn mabfuzz_event_stream_matches_the_golden_snapshot() {
     assert_eq!(stream.lines().filter(|l| l.contains("\"event\":\"test_folded\"")).count(), 120);
     assert_eq!(stream.lines().filter(|l| l.contains("\"event\":\"arm_selected\"")).count(), 120);
     compare_against_golden(&stream, "events_mabfuzz_smoke.jsonl");
+}
+
+/// The smoke spec at batch size 8 (`experiments run --spec … --batch 8
+/// --events FILE`): 15 rounds of 8 tests, each closed by a `batch_folded`
+/// event, pinning the batched fold order the batch-size-1 stream never
+/// exercises.
+#[test]
+fn batched_event_stream_matches_the_golden_snapshot() {
+    let mut spec = mabfuzz_smoke_spec();
+    spec.batch_size = 8;
+    let stream = event_stream(&spec);
+    assert_eq!(stream.lines().filter(|l| l.contains("\"event\":\"test_folded\"")).count(), 120);
+    assert_eq!(stream.lines().filter(|l| l.contains("\"event\":\"batch_folded\"")).count(), 15);
+    compare_against_golden(&stream, "events_mabfuzz_batched.jsonl");
+}
+
+/// The smoke spec under the edge signal (`experiments run --spec …
+/// --coverage-signal edge --events FILE`).
+#[test]
+fn edge_event_stream_matches_the_golden_snapshot() {
+    let mut spec = mabfuzz_smoke_spec();
+    spec.coverage_signal = CoverageSignal::Edge;
+    let stream = event_stream(&spec);
+    assert_eq!(stream.lines().filter(|l| l.contains("\"event\":\"test_folded\"")).count(), 120);
+    compare_against_golden(&stream, "events_edge_smoke.jsonl");
 }
 
 #[test]

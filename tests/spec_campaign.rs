@@ -12,7 +12,8 @@
 //!   `report::campaign_json` reproduces `tests/golden/spec_campaign_smoke.json`
 //!   byte for byte (re-bless with `UPDATE_GOLDEN=1`, like the experiments
 //!   golden) — CI additionally checks the `experiments run --spec` binary
-//!   path against the same snapshot;
+//!   path against the same snapshot; the same spec at `--batch 8` is
+//!   pinned the same way by `tests/golden/spec_campaign_batched.json`;
 //! * a custom policy registered at runtime (Thompson-style) runs a full
 //!   campaign through `Campaign::from_spec` and shows up in the report
 //!   label, with no edit to core or bench sources — the acceptance
@@ -52,15 +53,15 @@ fn checked_in_spec_matches_the_grid_construction() {
     );
 }
 
-#[test]
-fn spec_file_campaign_matches_the_golden_snapshot() {
-    let spec = checked_in_spec();
-    let outcome = Campaign::from_spec(&spec).expect("self-contained spec").execute();
+/// Executes `spec` and byte-compares its rendered report against
+/// `tests/golden/{file}` (or re-blesses it under `UPDATE_GOLDEN=1`).
+fn assert_report_matches_golden(spec: &CampaignSpec, file: &str) {
+    let outcome = Campaign::from_spec(spec).expect("self-contained spec").execute();
     assert_eq!(outcome.stats.tests_executed(), 120);
-    let mut rendered = campaign_json(&spec, &outcome);
+    let mut rendered = campaign_json(spec, &outcome);
     rendered.push('\n'); // the binary prints one line
 
-    let path = golden_dir().join("spec_campaign_smoke.json");
+    let path = golden_dir().join(file);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(&path, &rendered).expect("write golden snapshot");
         eprintln!("re-blessed {}", path.display());
@@ -75,10 +76,25 @@ fn spec_file_campaign_matches_the_golden_snapshot() {
     });
     assert_eq!(
         rendered, golden,
-        "the spec-driven campaign diverged from tests/golden/spec_campaign_smoke.json — \
-         the RNG stream, the spec codec or the campaign renderer changed. If intentional, \
-         re-bless with UPDATE_GOLDEN=1 and justify the re-baseline."
+        "the spec-driven campaign diverged from tests/golden/{file} — the RNG stream, \
+         the spec codec or the campaign renderer changed. If intentional, re-bless with \
+         UPDATE_GOLDEN=1 and justify the re-baseline."
     );
+}
+
+#[test]
+fn spec_file_campaign_matches_the_golden_snapshot() {
+    assert_report_matches_golden(&checked_in_spec(), "spec_campaign_smoke.json");
+}
+
+/// The same spec at batch size 8 (`experiments run --spec … --batch 8`):
+/// pins the batched loop — derived per-test RNG lanes, whole-batch
+/// assembly and the ordered fold — which no batch-size-1 golden reaches.
+#[test]
+fn batched_spec_file_campaign_matches_its_golden_snapshot() {
+    let mut spec = checked_in_spec();
+    spec.batch_size = 8;
+    assert_report_matches_golden(&spec, "spec_campaign_batched.json");
 }
 
 /// A deliberately simple Bayesian-flavoured policy for the acceptance test:
