@@ -48,7 +48,7 @@
 //! per-block order above, so both the edge *index* and the edge *identity
 //! tuple* `(from_pc, to, kind)` are pure functions of the text bytes. The
 //! edge-coverage signal hashes the identity tuple (not the index) into a
-//! fixed-size space, so coverage slots are stable across runs, shards,
+//! fixed-size space, so coverage slots are stable across runs, threads,
 //! processes and cache hits/misses — the property the `fuzzer::shard`
 //! determinism contract requires of any coverage signal.
 //!

@@ -123,41 +123,6 @@ fn bench_campaign_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// One sharded MABFuzz campaign at several shard counts: the intra-campaign
-/// fork/join layer. Every shard count runs the *same* deterministic
-/// campaign (byte-identical report; the equivalence tests enforce it), so
-/// the per-iteration time ratio between 1 shard and N shards is pure
-/// simulation speedup. On a multi-core runner multi-shard should be ≥1.5×
-/// the single-shard time; on one core it must simply not regress
-/// materially (the pool adds two channel hops per test).
-fn bench_sharded_campaign(c: &mut Criterion) {
-    let mut group = c.benchmark_group("throughput_sharded_campaign");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(3));
-    let budget = ExperimentBudget::smoke();
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut shard_counts = vec![1usize, 2, 4, cores];
-    shard_counts.sort_unstable();
-    shard_counts.dedup();
-    for shards in shard_counts {
-        let plan = ShardPlan::sharded(shards);
-        group.bench_with_input(BenchmarkId::from_parameter(shards), &plan, |b, plan| {
-            b.iter(|| {
-                run_campaign(
-                    FuzzerKind::MabFuzz(mab::BanditKind::Ucb1),
-                    mabfuzz_bench::processor_without_bugs(ProcessorKind::Rocket),
-                    campaign_config(budget.coverage_tests * 4),
-                    budget.base_seed,
-                    plan,
-                )
-                .final_coverage()
-            });
-        });
-    }
-    group.finish();
-}
-
 /// The grid executor: a fixed batch of independent campaigns, serial versus
 /// all cores. The ratio of the two times is the experiment-engine speedup.
 fn bench_grid_scaling(c: &mut Criterion) {
@@ -189,7 +154,6 @@ criterion_group!(
     benches,
     bench_single_test_throughput,
     bench_campaign_throughput,
-    bench_sharded_campaign,
     bench_grid_scaling
 );
 criterion_main!(benches);

@@ -81,7 +81,6 @@ fn run_sweep_on(
         for repetition in 0..budget.repetitions {
             let mut spec = setting.clone();
             spec.rng_seed = budget.base_seed + repetition;
-            spec.shards = plan.shards();
             spec.batch_size = plan.batch_size();
             spec.processor = Some(ProcessorSpec { core: processor, bugs: BugSpec::Native });
             specs.push(spec);
@@ -119,8 +118,8 @@ fn base_spec(budget: &ExperimentBudget) -> CampaignSpecBuilder {
         .campaign(campaign_config(budget.coverage_tests))
 }
 
-/// Sweeps the reward weight α, every campaign sharded intra-campaign under
-/// `plan`, with cell execution delegated to `runner`.
+/// Sweeps the reward weight α, every campaign batched per `plan`,
+/// with cell execution delegated to `runner`.
 ///
 /// # Errors
 ///
@@ -143,8 +142,8 @@ pub fn alpha_sweep_on(
     run_sweep_on("alpha", settings, processor, budget, plan, runner)
 }
 
-/// Sweeps the reset threshold γ, every campaign sharded intra-campaign
-/// under `plan`, with cell execution delegated to `runner`.
+/// Sweeps the reset threshold γ, every campaign batched per `plan`,
+/// with cell execution delegated to `runner`.
 ///
 /// # Errors
 ///
@@ -167,8 +166,8 @@ pub fn gamma_sweep_on(
     run_sweep_on("gamma", settings, processor, budget, plan, runner)
 }
 
-/// Sweeps the number of arms, every campaign sharded intra-campaign under
-/// `plan`, with cell execution delegated to `runner`.
+/// Sweeps the number of arms, every campaign batched per `plan`,
+/// with cell execution delegated to `runner`.
 ///
 /// # Errors
 ///
@@ -193,8 +192,7 @@ pub fn arms_sweep_on(
 
 /// Compares MABFuzz with the paper's arm-reset feature against a variant
 /// whose γ is effectively infinite (arms are never reset), every campaign
-/// sharded intra-campaign under `plan`, with cell execution delegated to
-/// `runner`.
+/// batched per `plan`, with cell execution delegated to `runner`.
 ///
 /// # Errors
 ///

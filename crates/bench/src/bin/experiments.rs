@@ -24,21 +24,9 @@
 //! `--parallel serial` reproduces the single-threaded reference run with
 //! byte-identical results, and `--parallel N` pins the worker count.
 //! `--json` switches the report from text tables to the deterministic JSON
-//! renderers (one JSON document per experiment, one per line).
-//!
-//! `--shards N` (default: the `MABFUZZ_SHARDS` environment variable, else
-//! off) additionally shards every MABFuzz campaign *internally*: each bandit
-//! round simulates a fixed-size test batch across `N` worker shards with a
-//! deterministic reduction, so the report is **byte-identical for every
-//! `N`** — including `--shards 1` — while the wall clock drops on multi-core
-//! machines. The grid's cell workers are divided by the shard count so both
-//! parallelism layers compose under one thread budget. Note that sharded
-//! mode (any `N`) is a *different deterministic campaign* than the default
-//! serial mode: batching changes which RNG stream generates each test, so
-//! compare sharded runs with sharded runs. `--shards off` restores the
-//! legacy serial plan (the published, golden-pinned artefacts) even when
-//! `MABFUZZ_SHARDS` is exported; a malformed `MABFUZZ_SHARDS` value is a
-//! hard error, never a silent fallback.
+//! renderers (one JSON document per experiment, one per line). Every grid
+//! campaign runs the serial plan (one test per bandit round) on its cell's
+//! thread; `experiments run --batch N` runs a single batched campaign.
 
 use std::env;
 use std::process::ExitCode;
@@ -173,11 +161,11 @@ fn run_all(options: &Options, runner: &dyn CellRunner) -> Result<(), String> {
 
 const USAGE: &str = "usage: experiments <table1|fig3|fig4|ablation|all> \
 [--tests N] [--cap N] [--repeats R] [--seed S] [--cores a,b] [--vulns V1,V2] \
-[--parallel auto|serial|N] [--serial] [--shards N|off] [--json]";
+[--parallel auto|serial|N] [--serial] [--json]";
 
 const RUN_USAGE: &str = "usage: experiments run [--spec file.json] \
 [--algorithm NAME] [--core NAME] [--bugs none|native|V1..V7] [--tests N] \
-[--seed S] [--shards N] [--batch N] [--coverage-signal point|edge] \
+[--seed S] [--batch N] [--coverage-signal point|edge] \
 [--events FILE] [--progress] [--json]";
 
 const ANALYZE_USAGE: &str = "usage: experiments analyze \
@@ -195,7 +183,7 @@ const DISPATCH_USAGE: &str = "usage: experiments dispatch \
 <all|table1|fig3|fig4|ablation> --workers host:port,host:port \
 [--spec-grid FILE] [--auth-token TOKEN] [--attempts N] [--timeout-ms N] \
 [--retire-threshold N] [--no-local-fallback] [grid flags: --tests --cap \
---repeats --seed --cores --vulns --shards --json ...]";
+--repeats --seed --cores --vulns --json ...]";
 
 /// `experiments serve`: run the campaign service daemon
 /// (`mabfuzz_service::CampaignServer`) — remote spec submission, live NDJSON
@@ -205,9 +193,8 @@ const DISPATCH_USAGE: &str = "usage: experiments dispatch \
 /// is printed to stdout as `listening on HOST:PORT` before the accept loop
 /// starts, so scripts can capture it. `--workers` sizes the campaign worker
 /// pool and defaults to the same [`Parallelism`] auto thread budget the
-/// experiment grid uses (one worker per available core); campaigns whose
-/// specs request internal shards spawn those shard workers *inside* their
-/// campaign worker, exactly like grid cells do.
+/// experiment grid uses (one worker per available core); each campaign
+/// runs entirely on the worker that picked it up, exactly like a grid cell.
 ///
 /// The daemon runs until a client posts `/shutdown` (see the protocol
 /// reference in the `mabfuzz_service` crate docs).
@@ -279,7 +266,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
 /// `--events FILE` additionally streams the campaign's full observer event
 /// stream (baseline and MABFuzz campaigns alike) to `FILE` as JSONL — one
 /// event per line, in deterministic fold order, byte-identical for every
-/// `--shards N` at a fixed batch size. `--progress` attaches a live stderr
+/// run of the same spec. `--progress` attaches a live stderr
 /// progress monitor (tests/sec, coverage %, per-arm pulls, detections);
 /// stdout artefacts stay byte-identical either way.
 fn run_single_campaign(args: &[String]) -> Result<(), String> {
@@ -338,9 +325,6 @@ fn run_single_campaign(args: &[String]) -> Result<(), String> {
             }
             "--seed" => {
                 spec.rng_seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?
-            }
-            "--shards" => {
-                spec.shards = value()?.parse().map_err(|e| format!("--shards: {e}"))?
             }
             "--batch" => {
                 spec.batch_size = value()?.parse().map_err(|e| format!("--batch: {e}"))?
@@ -405,7 +389,7 @@ fn run_single_campaign(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     println!("== Campaign: {} ==", outcome.stats.label());
-    println!("(spec policy {}, seed {}, {} shard(s) x {} test(s)/round)\n", spec.policy, spec.rng_seed, spec.shards, spec.batch_size);
+    println!("(spec policy {}, seed {}, {})\n", spec.policy, spec.rng_seed, spec.plan());
     println!("{}", outcome.stats);
     if let Some(first) = outcome.stats.first_detection() {
         println!("first detection after {first} tests");
@@ -468,7 +452,6 @@ struct Options {
     cores: Vec<ProcessorKind>,
     vulnerabilities: Vec<Vulnerability>,
     parallelism: Parallelism,
-    plan: ShardPlan,
     json: bool,
 }
 
@@ -478,7 +461,6 @@ impl Options {
         let mut cores = ProcessorKind::ALL.to_vec();
         let mut vulnerabilities = Vulnerability::ALL.to_vec();
         let mut parallelism = Parallelism::default();
-        let mut plan = ShardPlan::from_env()?.unwrap_or_else(ShardPlan::serial);
         let mut json = false;
         let mut iter = args.iter();
         while let Some(flag) = iter.next() {
@@ -524,32 +506,11 @@ impl Options {
                         .ok_or_else(|| format!("--parallel: expected auto, serial or a thread count, got `{text}`"))?;
                 }
                 "--serial" => parallelism = Parallelism::Serial,
-                "--shards" => {
-                    let text = value()?;
-                    plan = match text.trim().to_ascii_lowercase().as_str() {
-                        // The escape hatch back to the legacy serial plan —
-                        // the published artefacts — even when MABFUZZ_SHARDS
-                        // is exported in the environment.
-                        "off" | "serial" => ShardPlan::serial(),
-                        _ => {
-                            let shards: usize =
-                                text.parse().map_err(|e| format!("--shards: {e}"))?;
-                            if shards == 0 {
-                                return Err("--shards: expected at least one shard (or `off`)"
-                                    .to_owned());
-                            }
-                            ShardPlan::sharded(shards)
-                        }
-                    };
-                }
                 "--json" => json = true,
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        // Cell- and shard-level parallelism compose under one thread
-        // budget: a grid of N-shard campaigns gets workers/N cell workers.
-        parallelism = parallelism.with_shard_budget(plan.shards());
-        Ok(Options { budget, cores, vulnerabilities, parallelism, plan, json })
+        Ok(Options { budget, cores, vulnerabilities, parallelism, json })
     }
 }
 
@@ -566,8 +527,8 @@ fn run_table1(options: &Options, runner: &dyn CellRunner) -> Result<(), String> 
             options.parallelism
         );
     }
-    let result =
-        table1::run_for_on(&options.vulnerabilities, &options.budget, &options.plan, runner)?;
+    let plan = ShardPlan::serial();
+    let result = table1::run_for_on(&options.vulnerabilities, &options.budget, &plan, runner)?;
     if options.json {
         println!("{}", json::table1(&result));
         return Ok(());
@@ -587,7 +548,7 @@ fn compute_fig3(options: &Options, runner: &dyn CellRunner) -> Result<fig3::Fig3
             options.budget.coverage_tests, options.budget.repetitions, options.parallelism
         );
     }
-    fig3::run_for_on(&options.cores, &options.budget, &options.plan, runner)
+    fig3::run_for_on(&options.cores, &options.budget, &ShardPlan::serial(), runner)
 }
 
 fn report_fig3(options: &Options, result: &fig3::Fig3Result) {
@@ -632,7 +593,8 @@ fn run_fig4(options: &Options, runner: &dyn CellRunner) -> Result<(), String> {
     // Banner before the grid: the coverage campaigns are the long part, and
     // the banner doubles as the progress cue.
     print_fig4_banner(options);
-    let fig3_result = fig3::run_for_on(&options.cores, &options.budget, &options.plan, runner)?;
+    let fig3_result =
+        fig3::run_for_on(&options.cores, &options.budget, &ShardPlan::serial(), runner)?;
     report_fig4(options, &fig4::from_fig3(&fig3_result));
     Ok(())
 }
@@ -643,10 +605,10 @@ fn run_ablation(options: &Options, runner: &dyn CellRunner) -> Result<(), String
         println!("== Parameter ablations (UCB on Rocket) ==\n");
     }
     let sweeps = [
-        ablation::alpha_sweep_on(core, &options.budget, &options.plan, runner)?,
-        ablation::gamma_sweep_on(core, &options.budget, &options.plan, runner)?,
-        ablation::arms_sweep_on(core, &options.budget, &options.plan, runner)?,
-        ablation::reset_ablation_on(core, &options.budget, &options.plan, runner)?,
+        ablation::alpha_sweep_on(core, &options.budget, &ShardPlan::serial(), runner)?,
+        ablation::gamma_sweep_on(core, &options.budget, &ShardPlan::serial(), runner)?,
+        ablation::arms_sweep_on(core, &options.budget, &ShardPlan::serial(), runner)?,
+        ablation::reset_ablation_on(core, &options.budget, &ShardPlan::serial(), runner)?,
     ];
     if options.json {
         println!("{}", json::ablations(&sweeps));

@@ -72,21 +72,17 @@ impl Fig3Result {
 }
 
 /// Runs the Fig. 3 experiment for the given processors, every MABFuzz
-/// campaign sharded intra-campaign under `plan` (the TheHuzz baseline stays
-/// serial), with cell execution delegated to `runner`: a
+/// campaign batched per `plan` (the TheHuzz baseline has no rounds to
+/// batch), with cell execution delegated to `runner`: a
 /// [`LocalRunner`](crate::LocalRunner) spreads cells across in-process
 /// threads, `experiments dispatch` farms them out to remote workers.
 ///
 /// Each (processor, fuzzer) pair runs `budget.repetitions` campaigns of
 /// `budget.coverage_tests` tests; the reported curve is the per-sample mean.
 /// Results are byte-identical for every runner that executes the specs
-/// faithfully, every [`Parallelism`](crate::Parallelism) mode and every
-/// shard count at a fixed batch size: each cell's RNG seed is
-/// `base_seed + repetition` and the curve averaging folds the repetitions
-/// in order. Callers composing thread budgets should pre-divide the
-/// runner's parallelism with
-/// [`Parallelism::with_shard_budget`](crate::Parallelism::with_shard_budget)
-/// — the grid itself only spreads cells.
+/// faithfully and every [`Parallelism`](crate::Parallelism) mode: each
+/// cell's RNG seed is `base_seed + repetition` and the curve averaging
+/// folds the repetitions in order.
 ///
 /// # Errors
 ///

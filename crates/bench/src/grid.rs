@@ -51,31 +51,6 @@ impl Parallelism {
             }
         }
     }
-
-    /// Composes the grid's cell-level parallelism with intra-campaign
-    /// sharding under one thread budget: when every cell itself runs
-    /// `shards_per_cell` simulation shards, the grid gets
-    /// `workers / shards_per_cell` cell workers (at least one), so the two
-    /// layers together stay at roughly the original worker count instead of
-    /// multiplying into oversubscription.
-    ///
-    /// `Serial` stays `Serial` (the reference mode pins one thread of cells
-    /// regardless of what the cells spawn internally), and a shard count of
-    /// one returns the mode unchanged.
-    pub fn with_shard_budget(self, shards_per_cell: usize) -> Parallelism {
-        let shards = shards_per_cell.max(1);
-        match self {
-            Parallelism::Serial => Parallelism::Serial,
-            _ if shards == 1 => self,
-            mode => {
-                let workers = (mode.workers() / shards).max(1);
-                match NonZeroUsize::new(workers) {
-                    Some(n) => Parallelism::Threads(n),
-                    None => Parallelism::Serial,
-                }
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for Parallelism {
@@ -172,18 +147,6 @@ mod tests {
         assert_eq!(Parallelism::parse("3").unwrap().workers(), 3);
         assert!(Parallelism::Auto.workers() >= 1);
         assert!(Parallelism::Auto.to_string().contains("auto"));
-    }
-
-    #[test]
-    fn shard_budget_composes_with_cell_parallelism() {
-        let eight = Parallelism::Threads(NonZeroUsize::new(8).unwrap());
-        assert_eq!(eight.with_shard_budget(4).workers(), 2);
-        assert_eq!(eight.with_shard_budget(16).workers(), 1, "budget never drops below one");
-        assert_eq!(eight.with_shard_budget(1), eight, "one shard leaves the mode untouched");
-        assert_eq!(eight.with_shard_budget(0), eight, "zero clamps to one shard");
-        assert_eq!(Parallelism::Serial.with_shard_budget(4), Parallelism::Serial);
-        let auto = Parallelism::Auto.with_shard_budget(2);
-        assert!(auto.workers() >= 1);
     }
 
     #[test]

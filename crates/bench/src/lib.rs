@@ -128,7 +128,7 @@ impl ExperimentBudget {
 
 /// Builds the [`CampaignSpec`] describing one grid cell: `fuzzer_kind` with
 /// the paper-default reward/reset parameters over `campaign`, seeded
-/// `rng_seed`, sharded per `plan`.
+/// `rng_seed`, batched per `plan`.
 ///
 /// This is the construction every experiment cell goes through — the grid
 /// is a consumer of specs, and a cell's spec serializes
@@ -160,13 +160,10 @@ pub fn campaign_spec(
 ///
 /// The cell is described by a [`CampaignSpec`] (see [`campaign_spec`]) and
 /// executed through the [`Campaign`] session type. MABFuzz campaigns
-/// simulate each bandit round's batch across the plan's shard workers
-/// (reports are byte-identical for every shard count at a fixed batch size;
-/// see the determinism contract in `fuzzer::shard`). The TheHuzz baseline
-/// has no round structure to batch, so it ignores the plan and stays
-/// serial — callers composing thread budgets should still reserve only one
-/// thread for its cells. Pass [`ShardPlan::serial`] for the published
-/// serial stream.
+/// simulate each bandit round's batch on the calling thread (see the
+/// determinism contract in `fuzzer::shard`). The TheHuzz baseline has no
+/// round structure to batch, so it ignores the plan. Pass
+/// [`ShardPlan::serial`] for the published serial stream.
 pub fn run_campaign(
     fuzzer_kind: FuzzerKind,
     processor: Arc<dyn Processor>,

@@ -116,15 +116,15 @@ fn cell_spec(
 }
 
 /// Runs the detection experiment for a chosen subset of vulnerabilities,
-/// every MABFuzz campaign sharded intra-campaign under `plan` (the TheHuzz
-/// baseline stays serial), with cell execution delegated to `runner`:
+/// every MABFuzz campaign batched per `plan` (the TheHuzz baseline has no
+/// rounds to batch), with cell execution delegated to `runner`:
 /// a [`LocalRunner`](crate::LocalRunner) spreads cells across in-process
 /// threads, `experiments dispatch` farms them out to remote workers.
 ///
 /// The result is byte-identical for every runner that executes the specs
-/// faithfully, every [`Parallelism`](crate::Parallelism) mode and every
-/// shard count at a fixed batch size: cells are deterministic and the
-/// reduction (means over repetitions) folds in repetition order.
+/// faithfully and every [`Parallelism`](crate::Parallelism) mode: cells are
+/// deterministic and the reduction (means over repetitions) folds in
+/// repetition order.
 ///
 /// # Errors
 ///

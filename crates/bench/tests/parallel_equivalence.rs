@@ -62,24 +62,27 @@ fn ablation_parallel_json_is_byte_identical_to_serial() {
     assert_eq!(json::ablation(&serial), json::ablation(&parallel));
 }
 
-/// The two parallelism layers composed: a sharded experiment grid produces
-/// byte-identical JSON for every (cell workers × campaign shards)
-/// combination — the contract `experiments --shards N` exposes.
+/// A batched experiment grid (8 tests per bandit round) produces
+/// byte-identical JSON for every cell-worker count, exactly like the serial
+/// plan: batching changes the campaign, never its independence from the
+/// grid's thread layout.
 #[test]
-fn sharded_experiment_json_is_byte_identical_across_layers() {
+fn batched_experiment_json_is_byte_identical_across_cell_workers() {
     let budget = ExperimentBudget { coverage_tests: 48, repetitions: 2, ..tiny_budget() };
     let cores = [ProcessorKind::Rocket];
-    let run = |cell_workers, shards: usize| {
-        let plan = ShardPlan::sharded(shards).with_batch_size(8);
+    let plan = ShardPlan::serial().with_batch_size(8);
+    let run = |cell_workers| {
         fig3::run_for_on(&cores, &budget, &plan, &LocalRunner::new(cell_workers)).expect(LOCAL)
     };
-    let reference = run(Parallelism::Serial, 1);
-    for cell_workers in [Parallelism::Serial, Parallelism::Auto] {
-        for shards in [1usize, 2, 3] {
-            let sharded = run(cell_workers, shards);
-            assert_eq!(reference, sharded, "{cell_workers} cell workers, {shards} shards");
-            assert_eq!(json::fig3(&reference), json::fig3(&sharded));
-        }
+    let reference = run(Parallelism::Serial);
+    for cell_workers in [
+        Parallelism::Threads(NonZeroUsize::new(2).expect("nonzero")),
+        Parallelism::Threads(NonZeroUsize::new(3).expect("nonzero")),
+        Parallelism::Auto,
+    ] {
+        let batched = run(cell_workers);
+        assert_eq!(reference, batched, "{cell_workers} cell workers");
+        assert_eq!(json::fig3(&reference), json::fig3(&batched));
     }
 }
 

@@ -88,7 +88,7 @@ impl Arm {
     ///
     /// Uses the associative [`CoverageMap::merge_counting`]; the campaign
     /// fold calls it in `test_index` order so the per-test novelty counts
-    /// (the `cov_L` reward term) are shard-count independent.
+    /// (the `cov_L` reward term) are deterministic.
     ///
     /// # Panics
     ///

@@ -21,25 +21,23 @@
 //!   (under the baseline conventions documented in
 //!   [`observer`](crate::observer)) and the final [`CampaignFinished`];
 //! * [`PolicySpec::Bandit`](crate::spec::PolicySpec) executes the MABFuzz
-//!   loop of Fig. 2, serial or sharded per the spec's plan, with the
-//!   determinism contract of `fuzzer::shard` intact: attaching observers or
-//!   changing the shard count never changes a single byte of the report —
-//!   nor of the event stream, which always fires in `test_index` fold
-//!   order.
+//!   loop of Fig. 2, one test or one batch per round per the spec's plan,
+//!   with the determinism contract of `fuzzer::shard` intact: attaching
+//!   observers never changes a single byte of the report, and the event
+//!   stream always fires in `test_index` fold order.
 
 use std::sync::Arc;
 
 use coverage::CoverageMap;
 use fuzzer::shard::derive_stream_seed;
 use fuzzer::{
-    CampaignStats, DiffReport, ExecScratch, FuzzHarness, MutationEngine, SeedGenerator, ShardPool,
-    TestCase, TheHuzzFuzzer,
+    CampaignStats, DiffReport, ExecScratch, FuzzHarness, MutationEngine, SeedGenerator, TestCase,
+    TheHuzzFuzzer,
 };
 use mab::Bandit;
 use proc_sim::Processor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use riscv::Program;
 use serde::{Deserialize, Serialize};
 
 use crate::arm::Arm;
@@ -78,7 +76,7 @@ pub struct MabFuzzOutcome {
 
 /// The assembled state of one MABFuzz campaign, ready to run: the harness
 /// over the processor under test, the validated spec (label, arms, α, γ,
-/// budget, generator, RNG seed and shard plan all come from it) and the
+/// budget, generator, RNG seed and batch plan all come from it) and the
 /// bandit policy it names.
 struct MabSession {
     harness: FuzzHarness,
@@ -117,10 +115,9 @@ enum CampaignKind {
 ///    is reset: fresh seed, cleared pool and local coverage, and re-initialised
 ///    bandit statistics.
 ///
-/// Under a sharded plan each round pulls a batch of tests from the selected
-/// arm, simulates it across the shard workers and folds the observations
-/// back in `test_index` order; the report is byte-identical for every shard
-/// count at a fixed batch size (see the determinism contract in
+/// Under a batched plan each round pulls a batch of tests from the selected
+/// arm, simulates it in place on the campaign thread and folds the
+/// observations in `test_index` order (see the determinism contract in
 /// [`fuzzer::shard`]).
 ///
 /// # Example
@@ -204,9 +201,8 @@ impl Campaign {
                     });
                 }
                 let mut harness = FuzzHarness::new(processor, spec.campaign.max_steps_per_test);
-                // Shard workers clone this harness, so the signal propagates
-                // to every worker and `coverage_space_len` sizes the stats
-                // and arms for the selected space automatically.
+                // `coverage_space_len` then sizes the stats and arms for the
+                // selected space automatically.
                 harness.set_coverage_signal(spec.coverage_signal);
                 CampaignKind::Mab(MabSession { harness, spec: spec.clone(), bandit })
             }
@@ -267,9 +263,8 @@ impl Campaign {
     /// are no bandit arms to report); MABFuzz campaigns produce the full
     /// per-arm report. Both stream the complete event protocol to attached
     /// observers (see the baseline vocabulary in
-    /// [`observer`](crate::observer)). Reports — and event streams — are
-    /// byte-identical for every shard count of the plan at a fixed batch
-    /// size, and independent of attached observers.
+    /// [`observer`](crate::observer)). Reports — and event streams — are a
+    /// pure function of the spec, independent of attached observers.
     pub fn execute(mut self) -> MabFuzzOutcome {
         match self.kind {
             CampaignKind::Baseline(fuzzer) => {
@@ -378,8 +373,8 @@ fn execute_baseline(
 }
 
 /// The MABFuzz campaign loop (Fig. 2 of the paper, batched): select an arm,
-/// assemble the round's batch, simulate it (in place or across the shard
-/// pool), fold the outcomes in `test_index` order.
+/// assemble the round's batch, simulate each test in place and fold it, in
+/// `test_index` order.
 fn execute_mab(
     session: MabSession,
     observers: Vec<Box<dyn CampaignObserver>>,
@@ -394,9 +389,8 @@ fn execute_mab(
     let campaign_seed = spec.rng_seed;
     // Per-test derived RNG streams are a batched-mode feature; the
     // batch-size-1 plan keeps every draw on the main RNG so serial
-    // campaigns reproduce the pre-sharding stream byte for byte.
-    let legacy_stream = plan.batch_size() == 1;
-    let pool = (plan.shards() > 1).then(|| ShardPool::new(&harness, plan.shards()));
+    // campaigns reproduce the unbatched stream byte for byte.
+    let legacy_stream = plan.is_serial();
     let mut scratch = ExecScratch::new();
 
     let mut fold = CampaignFold {
@@ -454,42 +448,20 @@ fn execute_mab(
                 .collect()
         };
 
-        // 2. Assemble the batch before the fork: pool pops and refills
-        //    happen serially, so batch contents are shard-independent.
+        // 2. Assemble the whole batch before any fold: folding pushes
+        //    mutants into the arm's pool, so interleaving the two would
+        //    change which tests the batch holds.
         let batch = fold.assemble_batch(batch_len, &mut lanes);
 
-        // 3. Simulate — fork/join across the shard pool, or in place on
-        //    the campaign thread — and 4. fold in test order.
-        let stopped = match &pool {
-            Some(pool) => {
-                let programs: Arc<Vec<Program>> =
-                    Arc::new(batch.iter().map(|test| test.program.clone()).collect());
-                let outcomes = pool.simulate(&programs);
-                let mut stopped = false;
-                for (slot, (test, outcome)) in batch.iter().zip(&outcomes).enumerate() {
-                    if fold.fold_test(test, &outcome.coverage, &outcome.diff, lanes.get_mut(slot)) {
-                        stopped = true;
-                        break;
-                    }
-                }
-                // Hand the batch's outcome buffers back to the workers so
-                // the next round reuses their allocations (coverage bitmap,
-                // diff vector) instead of cloning afresh per test.
-                pool.recycle(outcomes);
-                stopped
+        // 3. Simulate each test in place and 4. fold it, in test order.
+        let mut stopped = false;
+        for (slot, test) in batch.iter().enumerate() {
+            let view = harness.run_program_into(&test.program, &mut scratch);
+            if fold.fold_test(test, view.coverage, view.diff, lanes.get_mut(slot)) {
+                stopped = true;
+                break;
             }
-            None => {
-                let mut stopped = false;
-                for (slot, test) in batch.iter().enumerate() {
-                    let view = harness.run_program_into(&test.program, &mut scratch);
-                    if fold.fold_test(test, view.coverage, view.diff, lanes.get_mut(slot)) {
-                        stopped = true;
-                        break;
-                    }
-                }
-                stopped
-            }
-        };
+        }
         fold.flush_rewards();
         fold.finish_round();
         if stopped {
@@ -524,9 +496,7 @@ fn execute_mab(
     MabFuzzOutcome { stats: fold.stats, arms: arm_summaries, total_resets: fold.total_resets }
 }
 
-/// The serial half of a campaign round: everything the ordered reduction
-/// mutates, gathered so the fold runs identically whether outcomes arrive
-/// from the campaign thread (1 shard) or from the shard pool.
+/// Everything the ordered reduction of a campaign round mutates.
 ///
 /// The fold *is* the built-in observer: its direct `stats` bookkeeping
 /// performs exactly what `impl CampaignObserver for CampaignStats` performs,
@@ -606,9 +576,8 @@ impl CampaignFold {
 
     /// Folds one simulated test into the campaign state, in `test_index`
     /// order. Returns `true` when the campaign must stop (detection mode
-    /// hit a mismatch); the remaining outcomes of the round are then
-    /// discarded unrecorded, exactly like the tests a serial campaign would
-    /// never have simulated.
+    /// hit a mismatch); the rest of the round's batch is then never
+    /// simulated.
     fn fold_test(
         &mut self,
         test: &TestCase,
@@ -814,12 +783,12 @@ mod tests {
         assert_eq!(resets_from_arms, outcome.total_resets);
     }
 
-    /// Detection mode on CVA6 with V5, serial (`shards == 1`) or sharded.
-    fn detection_outcome(shards: usize, batch_size: usize) -> MabFuzzOutcome {
+    /// Detection mode on CVA6 with V5, one test (`batch_size == 1`) or one
+    /// batch per round.
+    fn detection_outcome(batch_size: usize) -> MabFuzzOutcome {
         let mut spec = quick_spec(BanditKind::Ucb1, 400);
         spec.campaign.stop_on_first_detection = true;
         spec.rng_seed = 2;
-        spec.shards = shards;
         spec.batch_size = batch_size;
         let processor = Arc::new(Cva6Core::new(BugSet::only(Vulnerability::V5MissingAccessFault)));
         Campaign::from_spec_on(processor, &spec).unwrap().execute()
@@ -827,19 +796,72 @@ mod tests {
 
     #[test]
     fn detection_mode_stops_on_the_first_mismatch() {
-        let outcome = detection_outcome(1, 1);
+        let outcome = detection_outcome(1);
         let detection = outcome.stats.first_detection().expect("V5 triggers quickly");
         assert_eq!(outcome.stats.tests_executed(), detection);
     }
 
     #[test]
-    fn sharded_detection_mode_stops_on_the_first_mismatch() {
-        let outcome = detection_outcome(2, 8);
+    fn batched_detection_mode_stops_on_the_first_mismatch() {
+        let outcome = detection_outcome(8);
         let detection = outcome.stats.first_detection().expect("V5 triggers quickly");
         assert_eq!(
             outcome.stats.tests_executed(),
             detection,
-            "outcomes after the detection are discarded unrecorded"
+            "the rest of the detecting round is never recorded"
+        );
+    }
+
+    /// The Table I shape at batch size 5: the detecting test number is part
+    /// of the deterministic outcome, and the campaign stops right on it.
+    #[test]
+    fn batched_detection_campaigns_are_reproducible() {
+        let run = || {
+            let spec = CampaignSpec::builder()
+                .algorithm(BanditKind::Ucb1)
+                .arms(4)
+                .max_tests(600)
+                .max_steps_per_test(200)
+                .stop_on_first_detection(true)
+                .rng_seed(3)
+                .batch_size(5)
+                .build()
+                .unwrap();
+            let processor = Arc::new(Cva6Core::new(BugSet::only(Vulnerability::V5MissingAccessFault)));
+            Campaign::from_spec_on(processor, &spec).unwrap().execute()
+        };
+        let reference = run();
+        let detection =
+            reference.stats.first_detection().expect("V5 must be detected within the budget");
+        assert_eq!(reference.stats.tests_executed(), detection);
+        assert_eq!(reference, run(), "the same batched spec reproduces the same outcome");
+    }
+
+    /// The same campaign at two different batch sizes is *not* expected to
+    /// match — batching is a deliberate change of the RNG contract. This
+    /// guard documents that asymmetry so nobody "fixes" a batched golden by
+    /// comparing across batch sizes.
+    #[test]
+    fn equivalence_holds_per_batch_size_not_across() {
+        let run = |batch: usize| {
+            let spec = CampaignSpec::builder()
+                .algorithm(BanditKind::EpsilonGreedy)
+                .arms(4)
+                .max_tests(40)
+                .max_steps_per_test(200)
+                .rng_seed(11)
+                .batch_size(batch)
+                .build()
+                .unwrap();
+            Campaign::from_spec_on(rocket(), &spec).unwrap().execute()
+        };
+        let small = run(2);
+        let large = run(8);
+        assert_eq!(small.stats.tests_executed(), large.stats.tests_executed());
+        assert_ne!(
+            small.stats.cumulative().history(),
+            large.stats.cumulative().history(),
+            "different batch sizes are different campaigns by design"
         );
     }
 
@@ -1239,71 +1261,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_spec_execution_is_shard_count_independent() {
-        let spec = |shards: usize| {
-            CampaignSpec::builder()
-                .algorithm(BanditKind::Ucb1)
-                .arms(4)
-                .max_tests(42)
-                .max_steps_per_test(200)
-                .mutations_per_interesting_test(2)
-                .sample_interval(5)
-                .rng_seed(9)
-                .shards(shards)
-                .batch_size(5)
-                .build()
-                .unwrap()
-        };
-        let reference = Campaign::from_spec_on(
-            Arc::new(RocketCore::new(BugSet::none())),
-            &spec(1),
-        )
-        .unwrap()
-        .execute();
-        for shards in [2usize, 3] {
-            let sharded = Campaign::from_spec_on(
-                Arc::new(RocketCore::new(BugSet::none())),
-                &spec(shards),
-            )
-            .unwrap()
-            .execute();
-            assert_eq!(reference, sharded, "{shards} shards diverged");
-        }
-    }
-
-    #[test]
-    fn edge_signal_campaigns_are_shard_count_independent() {
+    fn edge_signal_campaigns_measure_the_edge_space() {
         use fuzzer::CoverageSignal;
-        let spec = |shards: usize| {
-            CampaignSpec::builder()
-                .algorithm(BanditKind::Ucb1)
-                .arms(4)
-                .max_tests(42)
-                .max_steps_per_test(200)
-                .mutations_per_interesting_test(2)
-                .sample_interval(5)
-                .rng_seed(9)
-                .shards(shards)
-                .batch_size(5)
-                .coverage_signal(CoverageSignal::Edge)
-                .build()
-                .unwrap()
-        };
-        let campaign =
-            Campaign::from_spec_on(Arc::new(RocketCore::new(BugSet::none())), &spec(1)).unwrap();
+        let spec = CampaignSpec::builder()
+            .algorithm(BanditKind::Ucb1)
+            .arms(4)
+            .max_tests(42)
+            .max_steps_per_test(200)
+            .mutations_per_interesting_test(2)
+            .sample_interval(5)
+            .rng_seed(9)
+            .batch_size(5)
+            .coverage_signal(CoverageSignal::Edge)
+            .build()
+            .unwrap();
+        let campaign = Campaign::from_spec_on(rocket(), &spec).unwrap();
         assert_eq!(
             campaign.coverage_space_len(),
             coverage::EdgeSpace::DEFAULT_LEN,
             "edge campaigns measure against the fixed edge space"
         );
-        let reference = campaign.execute();
-        assert!(reference.stats.final_coverage() > 0, "the edge signal observes coverage");
-        for shards in [2usize, 4] {
-            let sharded =
-                Campaign::from_spec_on(Arc::new(RocketCore::new(BugSet::none())), &spec(shards))
-                    .unwrap()
-                    .execute();
-            assert_eq!(reference, sharded, "{shards} shards diverged under the edge signal");
-        }
+        let outcome = campaign.execute();
+        assert_eq!(outcome.stats.tests_executed(), 42);
+        assert!(outcome.stats.final_coverage() > 0, "the edge signal observes coverage");
     }
 }

@@ -4,10 +4,10 @@
 //! An [`EventLog`] renders every event of one campaign as one compact JSON
 //! object per line, in the exact deterministic order the fold emits them
 //! (see the event-ordering contract in [`observer`](crate::observer)).
-//! Because the fold order is shard-independent, the written stream is
-//! **byte-identical for every shard count** at a fixed batch size — which is
-//! what lets `experiments run --events out.jsonl` be golden-pinned and
-//! `cmp`-checked across `--shards 1` and `--shards 4` in CI.
+//! Because the fold order is deterministic, the written stream is a
+//! **byte-for-byte function of the spec** — which is what lets
+//! `experiments run --events out.jsonl` be golden-pinned and `cmp`-checked
+//! in CI, at batch size 1 and at `--batch 8`.
 //!
 //! Rendering is by hand with fixed field order and shortest-round-trip float
 //! formatting, exactly like the report renderers in `mabfuzz-bench`: the

@@ -14,19 +14,18 @@
 //! * [`SaturationMonitor`] — the γ-window monitor of §III-C that detects
 //!   depleted arms;
 //! * [`Campaign`] — the orchestrator of Fig. 2 and the one way to run a
-//!   campaign: select an arm with the modified MAB algorithm, simulate a
-//!   batch of its tests (serially or across the shard workers of a
-//!   [`ShardPlan`] — campaign reports are byte-identical either way, see the
-//!   determinism contract in [`fuzzer::shard`]), mutate, reward, and reset
-//!   saturated arms. `Campaign::from_spec(&spec)?.execute()` runs anything
+//!   campaign: select an arm with the modified MAB algorithm, simulate one
+//!   test or one [`ShardPlan`] batch of its tests on the campaign thread
+//!   (see the determinism contract in [`fuzzer::shard`]), mutate, reward,
+//!   and reset saturated arms. `Campaign::from_spec(&spec)?.execute()` runs anything
 //!   from the TheHuzz baseline to a custom bandit registered at runtime
 //!   through [`mab::register_policy`].
 //!
 //! Around that core, the campaign-facing API is declarative:
 //!
 //! * [`CampaignSpec`] — one validated, JSON-serializable description of a
-//!   whole campaign (policy, α/γ/ε/η, budget, generator, RNG seed, shard
-//!   plan, optionally the processor), with a fluent builder;
+//!   whole campaign (policy, α/γ/ε/η, budget, generator, RNG seed, batch
+//!   size, optionally the processor), with a fluent builder;
 //! * [`CampaignObserver`] — streaming per-round/per-test events (arm
 //!   selected, test folded, detection, arm reset, coverage milestone) for
 //!   monitoring a campaign while it runs; the built-in statistics are
@@ -34,8 +33,8 @@
 //!   MABFuzz campaigns and the TheHuzz baseline — emit the full per-test
 //!   stream in deterministic fold order;
 //! * [`EventLog`] / [`ProgressMonitor`] — the first production consumers of
-//!   that seam: a buffered JSONL event sink whose stream is byte-identical
-//!   across shard counts (golden-pinned in CI), and a live tests/sec +
+//!   that seam: a buffered JSONL event sink whose stream is a deterministic
+//!   function of the spec (golden-pinned in CI), and a live tests/sec +
 //!   coverage + per-arm progress reporter (both surfaced as
 //!   `experiments run --events out.jsonl --progress`);
 //! * [`EventBroadcast`] / [`CancelToken`] — the service-layer seams: a
@@ -93,7 +92,7 @@ pub use arm::Arm;
 pub use campaign::{ArmSummary, Campaign, MabFuzzOutcome};
 pub use cancel::CancelToken;
 pub use event_log::{EventBroadcast, EventLog, EventLogHealth, SharedBuffer};
-pub use fuzzer::{CoverageSignal, ShardPlan, ShardPool};
+pub use fuzzer::{CoverageSignal, ShardPlan};
 pub use monitor::SaturationMonitor;
 pub use observer::{
     ArmReset, ArmSelected, BatchFolded, CampaignFinished, CampaignObserver, CoverageMilestone,

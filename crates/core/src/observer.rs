@@ -33,11 +33,10 @@
 //!    were flushed;
 //! 2. one final [`CampaignFinished`] after the statistics are finalised.
 //!
-//! Because the fold itself is shard-independent (rule 3 of the determinism
+//! Because the fold itself is deterministic (rule 3 of the determinism
 //! contract in `fuzzer::shard`: outcomes always reduce in `test_index`
-//! order), **the event stream is byte-for-byte identical for every shard
-//! count** at a fixed batch size — an `EventLog` written under `--shards 4`
-//! compares equal to one written under `--shards 1`.
+//! order), **the event stream is a byte-for-byte function of the spec** —
+//! the same spec, batched or not, always writes the same `EventLog`.
 //!
 //! # Baseline campaigns
 //!
@@ -205,8 +204,8 @@ pub struct CampaignFinished {
 /// Every method has a no-op default, so an observer implements only the
 /// events it cares about. Events arrive on the campaign thread, in the exact
 /// deterministic order the fold processes them (see the determinism contract
-/// in `fuzzer::shard`); an observer therefore sees the same stream whether
-/// the campaign runs serially or across shard workers.
+/// in `fuzzer::shard`); an observer therefore sees the same stream every
+/// time the same spec runs.
 ///
 /// Observers are `Send` so a campaign carrying them can still be dispatched
 /// to a worker thread by the experiment grid.

@@ -59,8 +59,7 @@ impl RewardParams {
     /// policy the raw weighted count.
     ///
     /// This is the single reward formula of the campaign fold — serial and
-    /// sharded rounds call it per test in `test_index` order, so the bandit
-    /// observes identical rewards in both modes.
+    /// batched rounds call it per test in `test_index` order.
     pub fn policy_reward(
         &self,
         kind: mab::BanditKind,

@@ -5,7 +5,7 @@
 //! [`BanditKind`], including custom policies registered through
 //! [`mab::register_policy`]), the reward/reset parameters (α, γ, ε, η), the
 //! shared fuzzing-campaign configuration (budget, mutation counts, program
-//! generator), the RNG seed and the shard plan. It is the only way to
+//! generator), the RNG seed and the per-round batch size. It is the only way to
 //! describe a campaign: the experiment grid, the `experiments` binary
 //! (`experiments run --spec file.json`), the campaign service and the
 //! [`Campaign`](crate::Campaign) session type all consume it.
@@ -181,9 +181,11 @@ pub enum SpecError {
     ZeroSteps,
     /// Coverage-series sampling interval must be positive.
     ZeroSampleInterval,
-    /// Shard plans need at least one shard.
+    /// A spec document's `shards` key was `0`. The key is otherwise ignored:
+    /// every campaign simulates on its own thread, and `to_json` always
+    /// writes `"shards":1`.
     ZeroShards,
-    /// Shard plans need at least one test per round.
+    /// Batch plans need at least one test per round.
     ZeroBatch,
     /// The policy name resolved to nothing; the message lists valid names.
     UnknownPolicy(String),
@@ -275,8 +277,6 @@ pub struct CampaignSpec {
     pub eta: f64,
     /// Seed of the campaign's deterministic RNG stream.
     pub rng_seed: u64,
-    /// Number of simulation shard workers.
-    pub shards: usize,
     /// Tests simulated per bandit round. **1 is the legacy serial stream**
     /// every published artefact uses; larger batches are a different
     /// deterministic campaign (see the determinism contract in
@@ -317,9 +317,9 @@ impl CampaignSpec {
         }
     }
 
-    /// The shard plan the spec describes.
+    /// The batch plan the spec describes.
     pub fn plan(&self) -> ShardPlan {
-        ShardPlan::sharded(self.shards).with_batch_size(self.batch_size)
+        ShardPlan::serial().with_batch_size(self.batch_size)
     }
 
     /// The bandit-policy construction parameters the spec describes.
@@ -367,9 +367,6 @@ impl CampaignSpec {
         if self.campaign.sample_interval == 0 {
             return Err(SpecError::ZeroSampleInterval);
         }
-        if self.shards == 0 {
-            return Err(SpecError::ZeroShards);
-        }
         if self.batch_size == 0 {
             return Err(SpecError::ZeroBatch);
         }
@@ -403,7 +400,7 @@ impl CampaignSpec {
             concat!(
                 "{{\"policy\":{policy},\"alpha\":{alpha},\"gamma\":{gamma},",
                 "\"epsilon\":{epsilon},\"eta\":{eta},\"rng_seed\":{rng_seed},",
-                "\"shards\":{shards},\"batch_size\":{batch_size},{signal}",
+                "\"shards\":1,\"batch_size\":{batch_size},{signal}",
                 "\"processor\":{processor},\"campaign\":{{",
                 "\"max_tests\":{max_tests},\"max_steps_per_test\":{max_steps},",
                 "\"num_seeds\":{num_seeds},",
@@ -424,7 +421,6 @@ impl CampaignSpec {
             epsilon = json_float(self.epsilon),
             eta = json_float(self.eta),
             rng_seed = self.rng_seed,
-            shards = self.shards,
             batch_size = self.batch_size,
             // Omitted entirely for the default point signal so every spec
             // JSON written before the field existed stays byte-identical.
@@ -520,7 +516,6 @@ impl Default for CampaignSpecBuilder {
                 epsilon: 0.1,
                 eta: 0.1,
                 rng_seed: 0,
-                shards: 1,
                 batch_size: 1,
                 coverage_signal: CoverageSignal::Point,
                 processor: None,
@@ -634,21 +629,15 @@ impl CampaignSpecBuilder {
         self
     }
 
-    /// Sets the shard-worker count.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.spec.shards = shards;
-        self
-    }
-
     /// Sets the per-round batch size (1 = the legacy serial stream).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.spec.batch_size = batch_size;
         self
     }
 
-    /// Adopts a whole shard plan.
+    /// Adopts a whole batch plan.
     pub fn plan(self, plan: &ShardPlan) -> Self {
-        self.shards(plan.shards()).batch_size(plan.batch_size())
+        self.batch_size(plan.batch_size())
     }
 
     /// Selects the coverage signal feeding the reward (default: point).
@@ -704,7 +693,13 @@ fn spec_from_value(value: &json::Value) -> Result<CampaignSpec, SpecError> {
             "epsilon" => spec.epsilon = field.as_f64("epsilon")?,
             "eta" => spec.eta = field.as_f64("eta")?,
             "rng_seed" => spec.rng_seed = field.as_u64("rng_seed")?,
-            "shards" => spec.shards = field.as_usize("shards")?,
+            // Kept on the wire for the spec files, goldens and clients that
+            // carry it; any positive count runs the same campaign.
+            "shards" => {
+                if field.as_usize("shards")? == 0 {
+                    return Err(SpecError::ZeroShards);
+                }
+            }
             "batch_size" => spec.batch_size = field.as_usize("batch_size")?,
             "coverage_signal" => {
                 let name = field.as_str("coverage_signal")?;
@@ -863,7 +858,6 @@ mod tests {
             .sample_interval(5)
             .stop_on_first_detection(true)
             .rng_seed(42)
-            .shards(3)
             .batch_size(16)
             .processor(ProcessorKind::Rocket, BugSpec::Native)
             .build()
@@ -873,7 +867,7 @@ mod tests {
         assert_eq!(spec.campaign.max_steps_per_test, 123);
         assert!(spec.campaign.stop_on_first_detection);
         assert_eq!(spec.rng_seed, 42);
-        assert_eq!(spec.plan(), ShardPlan::sharded(3).with_batch_size(16));
+        assert_eq!(spec.plan(), ShardPlan::serial().with_batch_size(16));
         assert_eq!(spec.processor.unwrap().core, ProcessorKind::Rocket);
         assert_eq!(spec.label(), "MABFuzz: EXP3");
     }
@@ -891,7 +885,6 @@ mod tests {
             (CampaignSpec::builder().max_tests(0), SpecError::ZeroTests),
             (CampaignSpec::builder().max_steps_per_test(0), SpecError::ZeroSteps),
             (CampaignSpec::builder().sample_interval(0), SpecError::ZeroSampleInterval),
-            (CampaignSpec::builder().shards(0), SpecError::ZeroShards),
             (CampaignSpec::builder().batch_size(0), SpecError::ZeroBatch),
         ];
         for (builder, expected) in cases {
@@ -956,7 +949,6 @@ mod tests {
             .gamma(2)
             .max_tests(77)
             .rng_seed(u64::MAX)
-            .shards(2)
             .batch_size(8)
             .processor(ProcessorKind::Cva6, BugSpec::Only(Vulnerability::V5MissingAccessFault))
             .build()
@@ -966,6 +958,19 @@ mod tests {
         assert_eq!(restored, spec);
         assert_eq!(restored.rng_seed, u64::MAX, "64-bit seeds survive the codec");
         assert_eq!(restored.to_json(), json, "rendering is deterministic");
+    }
+
+    #[test]
+    fn json_shards_key_is_accepted_ignored_and_rendered_as_one() {
+        // Any positive count parses to the same spec, which renders the key
+        // back as 1 at its usual position.
+        let four = CampaignSpec::from_json("{\"shards\":4,\"batch_size\":8}").unwrap();
+        assert_eq!(four, CampaignSpec::builder().batch_size(8).build().unwrap());
+        assert!(four.to_json().contains("\"rng_seed\":0,\"shards\":1,\"batch_size\":8,"));
+        let zero = CampaignSpec::from_json("{\"shards\":0}").expect_err("zero shards");
+        assert_eq!(zero, SpecError::ZeroShards);
+        let text = CampaignSpec::from_json("{\"shards\":\"many\"}").expect_err("not a number");
+        assert!(text.to_string().contains("shards"), "got: {text}");
     }
 
     #[test]

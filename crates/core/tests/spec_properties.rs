@@ -25,7 +25,6 @@ fn arbitrary_valid_spec(
     epsilon_percent: usize,
     eta_thousandths: usize,
     rng_seed: u64,
-    shards: usize,
     batch_size: usize,
     arms: usize,
     max_tests: u64,
@@ -54,7 +53,6 @@ fn arbitrary_valid_spec(
         .epsilon(epsilon_percent as f64 / 100.0)
         .eta(eta_thousandths as f64 / 1000.0)
         .rng_seed(rng_seed)
-        .shards(shards)
         .batch_size(batch_size)
         .arms(arms)
         .max_tests(max_tests)
@@ -76,7 +74,6 @@ proptest! {
         epsilon_percent in 0usize..=100,
         eta_thousandths in 1usize..=2500,
         rng_seed in 0u64..=u64::MAX,
-        shards in 1usize..6,
         batch_size in 1usize..10,
         arms in 1usize..14,
         max_tests in 1u64..100_000,
@@ -88,7 +85,7 @@ proptest! {
     ) {
         let spec = arbitrary_valid_spec(
             policy_index, alpha_percent, gamma, epsilon_percent, eta_thousandths,
-            rng_seed, shards, batch_size, arms, max_tests, max_steps,
+            rng_seed, batch_size, arms, max_tests, max_steps,
             sample_interval, mutations, processor_index, stop_flag == 1,
         );
         let json = spec.to_json();
@@ -112,7 +109,7 @@ proptest! {
         replacement in 0usize..96,
     ) {
         let spec = arbitrary_valid_spec(
-            policy_index, 25, 3, 10, 100, rng_seed, 1, 1, 4, 100, 200, 5, 2,
+            policy_index, 25, 3, 10, 100, rng_seed, 1, 4, 100, 200, 5, 2,
             processor_index, false,
         );
         let document: Vec<char> = spec.to_json().chars().collect();
@@ -147,7 +144,7 @@ proptest! {
         keep_permille in 0usize..1000,
     ) {
         let spec = arbitrary_valid_spec(
-            policy_index, 25, 3, 10, 100, rng_seed, 2, 4, 4, 100, 200, 5, 2,
+            policy_index, 25, 3, 10, 100, rng_seed, 4, 4, 100, 200, 5, 2,
             processor_index, true,
         );
         let document: Vec<char> = spec.to_json().chars().collect();

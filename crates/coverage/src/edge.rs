@@ -2,14 +2,15 @@
 //!
 //! The edge-coverage signal hashes each static CFG edge's identity tuple
 //! `(from_pc, to, kind)` into a fixed-length slot space. Fixing the length up
-//! front is what lets edge coverage slot into the shard determinism contract:
-//! every per-test [`CoverageMap`](crate::CoverageMap) over an [`EdgeSpace`]
-//! has the same length regardless of which program it came from, so the
-//! ordered shard fold can union them exactly like point-coverage maps.
+//! front is what lets edge coverage slot into the campaign determinism
+//! contract: every per-test [`CoverageMap`](crate::CoverageMap) over an
+//! [`EdgeSpace`] has the same length regardless of which program it came
+//! from, so the ordered batch fold can union them exactly like point-coverage
+//! maps.
 //!
 //! The hash is FNV-1a over a fixed-width little-endian encoding of the tuple,
 //! so a slot is a pure function of the edge identity — stable across runs,
-//! shards, processes and platforms (the *edge-id stability guarantee*; see
+//! threads, processes and platforms (the *edge-id stability guarantee*; see
 //! the `analysis` crate docs). Distinct edges may collide in the space, which
 //! is the standard AFL-style trade-off; the default length keeps the load
 //! factor low for the program sizes the generator produces.

@@ -93,8 +93,7 @@ impl CoverageMap {
     /// the fuzzers' reward path uses (one pass over the words instead of two,
     /// no intermediate id vector).
     ///
-    /// Alias of [`merge_counting`](CoverageMap::merge_counting), kept for the
-    /// pre-sharding callers.
+    /// Alias of [`merge_counting`](CoverageMap::merge_counting).
     ///
     /// # Panics
     ///
@@ -106,13 +105,12 @@ impl CoverageMap {
     /// Merges another map into this one (set union) and returns how many of
     /// `other`'s points were new to `self`.
     ///
-    /// This is the **associative reduce** of the sharded campaign: per-test
-    /// and per-shard coverage maps are folded into cumulative maps with it,
-    /// and because set union is associative and commutative the final union
-    /// is independent of how tests were distributed over shards. (The
-    /// *return value* — the novelty delta — is order-sensitive, which is why
-    /// the campaign folds observations in `test_index` order; see the
-    /// determinism contract in `fuzzer::shard`.)
+    /// This is the **associative reduce** of a batched campaign round:
+    /// per-test coverage maps are folded into cumulative maps with it, and
+    /// because set union is associative and commutative the final union is
+    /// independent of fold order. (The *return value* — the novelty delta —
+    /// is order-sensitive, which is why the campaign folds observations in
+    /// `test_index` order; see the determinism contract in `fuzzer::shard`.)
     ///
     /// # Panics
     ///
@@ -178,21 +176,6 @@ impl CoverageMap {
     pub fn clear(&mut self) {
         self.words.fill(0);
         self.ones = 0;
-    }
-
-    /// Makes `self` an exact copy of `other`, reusing `self`'s word
-    /// allocation whenever its capacity suffices.
-    ///
-    /// This is the buffer-recycling counterpart of `clone()`: the pooled
-    /// shard workers refill returned [`CoverageMap`]s with it instead of
-    /// allocating a fresh bitmap per test. (The derived `Clone` does not
-    /// override `clone_from`, so a plain `clone_from` call would still
-    /// allocate.)
-    pub fn copy_from(&mut self, other: &CoverageMap) {
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
-        self.len = other.len;
-        self.ones = other.ones;
     }
 
     /// Reshapes the map for a space with `len` points and clears it, reusing
@@ -315,21 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_equals_clone_even_across_sizes() {
-        let mut source = CoverageMap::with_len(200);
-        source.cover(id(3));
-        source.cover(id(150));
-        for target_len in [0usize, 64, 200, 1000] {
-            let mut target = CoverageMap::with_len(target_len);
-            target.cover(id(1));
-            target.copy_from(&source);
-            assert_eq!(target, source);
-            assert_eq!(target.count(), 2);
-            assert_eq!(target.len(), 200);
-        }
-    }
-
-    #[test]
     fn from_iterator_sizes_to_max_id() {
         let map: CoverageMap = [id(2), id(17)].into_iter().collect();
         assert_eq!(map.len(), 18);
@@ -371,9 +339,9 @@ mod tests {
         }
 
         /// merge_counting is associative and order-insensitive in the final
-        /// union (the property the sharded campaign's shard-count
-        /// independence rests on), and its novelty deltas always account for
-        /// exactly the final population count.
+        /// union (the property the batched campaign's ordered fold rests
+        /// on), and its novelty deltas always account for exactly the final
+        /// population count.
         #[test]
         fn merge_counting_is_associative_and_accounts_novelty(
             a_ids in proptest::collection::vec(0u32..192, 0..40),
@@ -387,7 +355,7 @@ mod tests {
             };
             let (a, b, c) = (build(&a_ids), build(&b_ids), build(&c_ids));
 
-            // Fold left-to-right and in a shard-like permutation.
+            // Fold left-to-right and in a permuted order.
             let mut ordered = CoverageMap::with_len(192);
             let delta_sum = ordered.merge_counting(&a)
                 + ordered.merge_counting(&b)

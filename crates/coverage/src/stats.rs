@@ -67,8 +67,8 @@ impl CumulativeCoverage {
     /// count (`|cov_G|`), so the union and the delta count are computed in a
     /// single pass over the bitmap words with no per-test allocation. The
     /// underlying [`CoverageMap::merge_counting`] is the same associative
-    /// merge the sharded campaign uses, so absorbing tests one by one in
-    /// `test_index` order is exactly the ordered reduction of the shard
+    /// merge the batched campaign uses, so absorbing tests one by one in
+    /// `test_index` order is exactly the ordered reduction of the campaign
     /// determinism contract.
     ///
     /// # Panics

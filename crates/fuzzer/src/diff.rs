@@ -118,14 +118,6 @@ impl DiffReport {
         self.mismatches.clear();
     }
 
-    /// Makes `self` an exact copy of `other`, reusing `self`'s mismatch
-    /// vector (the buffer-recycling counterpart of `clone()`, used by the
-    /// pooled shard workers; almost always a cheap truncate — most reports
-    /// are clean).
-    pub fn copy_from(&mut self, other: &DiffReport) {
-        self.mismatches.clone_from(&other.mismatches);
-    }
-
     fn push(&mut self, kind: MismatchKind, seq: Option<u64>, pc: Option<u64>, detail: String) {
         self.mismatches.push(Mismatch { kind, seq, pc, detail });
     }

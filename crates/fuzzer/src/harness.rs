@@ -116,8 +116,9 @@ impl FuzzHarness {
 
     /// Selects the coverage signal this harness reports.
     ///
-    /// Shard workers clone the harness, so setting the signal before a
-    /// campaign starts propagates it to every worker automatically.
+    /// Set it before a campaign starts: the signal also decides the
+    /// coverage space the campaign's statistics and arms are sized for
+    /// ([`coverage_space_len`](FuzzHarness::coverage_space_len)).
     pub fn set_coverage_signal(&mut self, signal: CoverageSignal) {
         self.signal = signal;
     }
@@ -308,14 +309,14 @@ fn map_edge_coverage(
 /// Owns everything a simulate–compare iteration writes: the DUT result
 /// (trace + coverage bitmap), the DUT's microarchitectural scratch, the
 /// golden model's trace and memory image, the differential report — and the
-/// worker's private [`DecodeCache`]. Because the cache lives *inside* the
-/// scratch, every campaign and every shard worker owns its own: the hot path
-/// shares no mutable state, and a worker's hit/miss sequence is a pure
-/// function of the programs it simulates (never of shard count or thread
-/// interleaving). The same per-worker reasoning covers the snapshot/dirty
-/// reset state inside both simulators' scratches: what a restore cleans is
-/// a pure function of what the same worker's previous test dirtied, and the
-/// restored state is byte-identical to a fresh one either way.
+/// campaign's private [`DecodeCache`]. Because the cache lives *inside* the
+/// scratch, every campaign owns its own: the hot path shares no mutable
+/// state, and the hit/miss sequence is a pure function of the programs the
+/// campaign simulates (never of thread interleaving). The same reasoning
+/// covers the snapshot/dirty reset state inside both simulators' scratches:
+/// what a restore cleans is a pure function of what the previous test
+/// dirtied, and the restored state is byte-identical to a fresh one either
+/// way.
 #[derive(Debug)]
 pub struct ExecScratch {
     sim: SimScratch,
@@ -334,7 +335,7 @@ impl ExecScratch {
     /// Environment variable controlling whether new scratches carry a decode
     /// cache: `on`/`1`/`true` (also unset) enable it, `off`/`0`/`false`
     /// select the interpreted oracle path, anything else panics loudly
-    /// (mirroring `MABFUZZ_SHARDS`).
+    /// (mirroring `MABFUZZ_SNAPSHOT_RESET`).
     pub const DECODE_CACHE_ENV: &'static str = "MABFUZZ_DECODE_CACHE";
 
     /// Environment variable controlling how new scratches reset the
@@ -441,11 +442,8 @@ impl TestOutcomeView<'_> {
         !self.diff.is_clean()
     }
 
-    /// Clones the borrowed view into an owned [`TestOutcome`].
-    ///
-    /// The sharded campaign path uses this to materialise batch outcomes
-    /// that outlive the worker's scratch buffers; the serial hot path keeps
-    /// borrowing instead.
+    /// Clones the borrowed view into an owned [`TestOutcome`] that outlives
+    /// the scratch buffers; campaign loops keep borrowing instead.
     pub fn to_outcome(&self) -> TestOutcome {
         TestOutcome {
             coverage: self.coverage.clone(),
@@ -453,19 +451,6 @@ impl TestOutcomeView<'_> {
             dut_commits: self.dut_commits,
             golden_commits: self.golden_commits,
         }
-    }
-
-    /// Writes the view into an existing [`TestOutcome`], reusing its
-    /// coverage-bitmap and mismatch-vector allocations.
-    ///
-    /// Equivalent to `*out = self.to_outcome()` but allocation-free in the
-    /// steady state — this is how the shard pool refills recycled outcome
-    /// buffers (see `ShardPool::recycle`).
-    pub fn clone_into_outcome(&self, out: &mut TestOutcome) {
-        out.coverage.copy_from(self.coverage);
-        out.diff.copy_from(self.diff);
-        out.dut_commits = self.dut_commits;
-        out.golden_commits = self.golden_commits;
     }
 }
 
@@ -540,32 +525,6 @@ mod tests {
                 assert_eq!(fresh.golden_commits, reused.golden_commits);
                 assert_eq!(fresh.detected_mismatch(), reused.detected_mismatch());
             }
-        }
-    }
-
-    #[test]
-    fn clone_into_outcome_matches_to_outcome() {
-        let harness = FuzzHarness::new(
-            Arc::new(Cva6Core::new(BugSet::only(Vulnerability::V6UnimplCsrJunk))),
-            500,
-        );
-        let programs = [
-            program("addi a0, zero, 5\nmul a1, a0, a0\necall\n"),
-            program("csrrw a0, 0x5c0, zero\necall\n"), // mismatching
-            program("addi a0, zero, 1\necall\n"),
-        ];
-        let mut scratch = ExecScratch::new();
-        // Seed the recycled buffer with unrelated content so stale state
-        // would be caught.
-        let mut recycled = harness.run_program(&programs[1]);
-        for prog in &programs {
-            let view = harness.run_program_into(prog, &mut scratch);
-            let fresh = view.to_outcome();
-            view.clone_into_outcome(&mut recycled);
-            assert_eq!(recycled.coverage, fresh.coverage);
-            assert_eq!(recycled.diff, fresh.diff);
-            assert_eq!(recycled.dut_commits, fresh.dut_commits);
-            assert_eq!(recycled.golden_commits, fresh.golden_commits);
         }
     }
 
@@ -703,10 +662,9 @@ mod tests {
     #[test]
     fn cache_stats_depend_only_on_the_program_sequence() {
         // Two workers fed the same program sequence report identical
-        // counters, regardless of what any other scratch did in between —
-        // the property that makes hit behaviour shard-count invariant
-        // (shard workers each own their scratch and see a deterministic
-        // subsequence).
+        // counters, regardless of what any other scratch did in between:
+        // hit behaviour is a function of the campaign's own program
+        // sequence.
         let harness = FuzzHarness::new(Arc::new(RocketCore::new(BugSet::none())), 500);
         let programs = mixed_program_set();
         let order = [0usize, 1, 0, 2, 2, 3, 0, 4, 1];

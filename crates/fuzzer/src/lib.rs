@@ -16,11 +16,10 @@
 //!   mutation, no dynamic seed selection,
 //! * [`CampaignStats`] — per-campaign statistics (coverage curves, detection
 //!   test counts) consumed by the experiment harness,
-//! * [`shard`] — intra-campaign sharded simulation: the [`ShardPlan`] /
-//!   [`ShardPool`] fork/join executor and the per-test RNG stream
-//!   derivation behind the **determinism contract** (see the [`shard`]
-//!   module docs) that keeps campaign reports byte-identical across shard
-//!   counts.
+//! * [`shard`] — batched bandit rounds: the [`ShardPlan`] batch size and
+//!   the per-test RNG stream derivation behind the **determinism contract**
+//!   (see the [`shard`] module docs) that makes every campaign report a
+//!   pure function of its spec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +40,6 @@ pub use harness::{CoverageSignal, ExecScratch, FuzzHarness, TestOutcome, TestOut
 pub use mutate::{MutationEngine, MutationOp};
 pub use pool::TestPool;
 pub use seed::SeedGenerator;
-pub use shard::{derive_stream_seed, ShardPlan, ShardPool};
+pub use shard::{derive_stream_seed, ShardPlan};
 pub use testcase::{TestCase, TestId};
 pub use thehuzz::{BaselineTestRecord, TheHuzzFuzzer};

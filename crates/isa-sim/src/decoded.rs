@@ -30,11 +30,10 @@
 //!   decoders are never bypassed and never cached.
 //!
 //! The cache is bounded ([`DecodeCache::DEFAULT_CAPACITY`] entries, least-
-//! recently-used eviction) and owned per worker — one per
-//! `fuzzer::ExecScratch`, hence one per campaign or per shard worker — so the
-//! hot path shares no mutable state and hit/miss behaviour depends only on
-//! the sequence of programs a worker simulates, never on shard count or
-//! thread interleaving.
+//! recently-used eviction) and owned per scratch — one per
+//! `fuzzer::ExecScratch`, hence one per campaign — so the hot path shares no
+//! mutable state and hit/miss behaviour depends only on the sequence of
+//! programs the campaign simulates, never on thread interleaving.
 //!
 //! # Oracle mode
 //!

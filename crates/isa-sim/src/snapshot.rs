@@ -46,10 +46,10 @@
 //! Restoring instead of reinitialising is invisible to results by
 //! construction: both paths hand the simulator the same memory image and the
 //! same architectural state, so traces, coverage and every downstream
-//! campaign artefact are byte-identical. The shard determinism contract in
+//! campaign artefact are byte-identical. The determinism contract in
 //! `fuzzer::shard` extends to this path for the same reason the decode cache
-//! satisfies it — the tracker is private to its worker's scratch and holds no
-//! cross-test information that could leak into outcomes.
+//! satisfies it — the tracker is private to its campaign's scratch and holds
+//! no cross-test information that could leak into outcomes.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,7 +78,7 @@ impl ResetPolicy {
     /// `on`/`1`/`true` (also unset or empty) select
     /// [`SnapshotReset`](ResetPolicy::SnapshotReset), `off`/`0`/`false` select
     /// [`FullReinit`](ResetPolicy::FullReinit), anything else panics loudly
-    /// (mirroring `MABFUZZ_DECODE_CACHE` and `MABFUZZ_SHARDS`).
+    /// (mirroring `MABFUZZ_DECODE_CACHE`).
     pub fn from_env() -> ResetPolicy {
         match std::env::var(ResetPolicy::ENV_VAR) {
             Err(std::env::VarError::NotPresent) => ResetPolicy::SnapshotReset,

@@ -236,13 +236,13 @@ pub trait Bandit: Send {
     fn update(&mut self, arm: usize, reward: f64);
 
     /// Reports the rewards of a whole batch of pulls of `arm`, folding them
-    /// **in slice order** — the bandit-side half of the sharded campaign's
+    /// **in slice order** — the bandit-side half of the batched campaign's
     /// ordered reduction (see the determinism contract in `fuzzer::shard`).
     ///
     /// The default implementation is exactly a sequence of
     /// [`update`](Bandit::update) calls, so a policy observes the same
     /// statistics whether its rewards arrive one by one (serial campaign)
-    /// or per round (sharded campaign). Implementations overriding this for
+    /// or per round (batched campaign). Implementations overriding this for
     /// speed must preserve that equivalence.
     ///
     /// # Panics

@@ -1,12 +1,12 @@
 //! Property suites for the bandit policies.
 //!
-//! These are the algorithm-level guarantees the sharded campaign leans on:
+//! These are the algorithm-level guarantees the batched campaign leans on:
 //! EXP3's selection distribution stays a finite, normalised distribution
 //! under arbitrary reward sequences; UCB1 and Thompson never starve an arm
 //! (the log bonus and the never-vanishing posterior width keep dragging
 //! neglected arms back); `sample_discrete` stays
 //! in-bounds for adversarial probability vectors (zeros, denormals, mass
-//! deficits); and `update_batch` — the sharded campaign's ordered-reduction
+//! deficits); and `update_batch` — the batched campaign's ordered-reduction
 //! entry point — is observationally identical to a sequence of `update`
 //! calls for every policy.
 
@@ -161,7 +161,7 @@ proptest! {
 
     /// `update_batch` is observationally identical to folding the same
     /// rewards through `update` one by one, for every policy — the
-    /// equivalence the sharded campaign's per-round reward flush relies on.
+    /// equivalence the batched campaign's per-round reward flush relies on.
     #[test]
     fn update_batch_equals_sequential_updates(
         rewards in proptest::collection::vec(0.0f64..1.0, 0..24),

@@ -72,8 +72,8 @@
 //!   history) and then follows it live, as chunked
 //!   `application/x-ndjson`, until the campaign reaches a terminal state.
 //!   The de-chunked payload is byte-identical to the `EventLog` JSONL of
-//!   the same spec: one event object per line, in deterministic fold order,
-//!   shard-count invariant. Any number of subscribers may tail one campaign
+//!   the same spec: one event object per line, in deterministic fold order.
+//!   Any number of subscribers may tail one campaign
 //!   concurrently; each holds its own cursor into the shared broadcast
 //!   ring.
 //! * **`GET /campaigns/{id}/report`** — the final report document, rendered

@@ -6,14 +6,13 @@
 //! the rendered report against `tests/golden/experiments_edge_smoke.json`
 //! (re-bless with `UPDATE_GOLDEN=1`, like the other goldens). CI
 //! additionally checks the `experiments run --coverage-signal edge` binary
-//! path against the same snapshot and `cmp`s the edge event streams across
-//! shard counts (the `edge-coverage-equivalence` job).
+//! path against the same snapshot and `cmp`s the edge event stream against
+//! `tests/golden/events_edge_smoke.jsonl` (the `edge-coverage-equivalence`
+//! job; `tests/golden_events.rs` asserts the same stream in-process).
 //!
-//! The suite also pins the two structural guarantees the snapshot alone
-//! cannot express: the edge campaign's outcome is *identical for every
-//! shard count* (the `fuzzer::shard` determinism contract extends to edge
-//! folds), and the edge report genuinely differs from the point report —
-//! the signal is selectable, not cosmetic.
+//! The suite also pins the structural guarantee the snapshot alone cannot
+//! express: the edge report genuinely differs from the point report — the
+//! signal is selectable, not cosmetic.
 
 use std::path::PathBuf;
 
@@ -61,20 +60,6 @@ fn edge_signal_campaign_matches_the_golden_snapshot() {
          the static CFG, the edge space, the RNG stream or the renderer changed. If \
          intentional, re-bless with UPDATE_GOLDEN=1 and justify the re-baseline."
     );
-}
-
-#[test]
-fn edge_signal_outcome_is_shard_count_invariant() {
-    let reference = Campaign::from_spec(&edge_spec()).expect("spec").execute();
-    for shards in [2, 4] {
-        let mut spec = edge_spec();
-        spec.shards = shards;
-        let sharded = Campaign::from_spec(&spec).expect("spec").execute();
-        assert_eq!(
-            reference, sharded,
-            "edge-signal outcome changed between 1 and {shards} shards"
-        );
-    }
 }
 
 #[test]

@@ -1,12 +1,11 @@
-//! Golden-pinned JSONL event streams and the shard-count invariance of the
-//! observer seam.
+//! Golden-pinned JSONL event streams of the observer seam.
 //!
 //! Two streams are checked in under `tests/golden/`:
 //!
 //! * `events_mabfuzz_smoke.jsonl` — the event stream of the checked-in
 //!   `campaign_spec.json` campaign (smoke-budget UCB on rocket, the same
 //!   campaign `experiments run --spec` replays); CI `cmp`s the binary's
-//!   `--events` output against it at `--shards 1` **and** `--shards 4`;
+//!   `--events` output against it;
 //! * `events_mabfuzz_batched.jsonl` and `events_edge_smoke.jsonl` — the
 //!   same spec at `--batch 8` and under `--coverage-signal edge`;
 //! * `events_baseline_smoke.jsonl` — a small TheHuzz baseline campaign,
@@ -18,7 +17,6 @@
 use std::path::PathBuf;
 
 use mabfuzz_bench::{campaign_config, campaign_spec, FuzzerKind, ShardPlan};
-use mabfuzz_suite::mab::BanditKind;
 use mabfuzz_suite::mabfuzz::{
     BugSpec, Campaign, CampaignSpec, CoverageSignal, EventLog, ProcessorSpec, SharedBuffer,
 };
@@ -140,40 +138,4 @@ fn baseline_event_stream_matches_the_golden_snapshot() {
         "the stream closes with the finish event"
     );
     compare_against_golden(&stream, "events_baseline_smoke.jsonl");
-}
-
-#[test]
-fn event_streams_are_shard_count_invariant() {
-    // The smoke spec at its own batch size (1): shard workers change where a
-    // test simulates, never what the fold — and so the stream — observes.
-    let serial = mabfuzz_smoke_spec();
-    let mut sharded = serial.clone();
-    sharded.shards = 4;
-    assert_eq!(event_stream(&serial), event_stream(&sharded), "batch 1: 1 vs 4 shards");
-
-    // And at a real batch size, where the per-test RNG streams are derived:
-    // a deliberately different deterministic campaign, equally invariant.
-    let batched = |shards: usize| {
-        CampaignSpec::builder()
-            .algorithm(BanditKind::Ucb1)
-            .arms(4)
-            .max_tests(60)
-            .max_steps_per_test(200)
-            .mutations_per_interesting_test(2)
-            .sample_interval(5)
-            .rng_seed(9)
-            .shards(shards)
-            .batch_size(8)
-            .processor(ProcessorKind::Rocket, BugSpec::None)
-            .build()
-            .expect("valid spec")
-    };
-    let reference = event_stream(&batched(1));
-    for shards in [2usize, 4] {
-        assert_eq!(reference, event_stream(&batched(shards)), "batch 8: {shards} shards diverged");
-    }
-    assert!(
-        reference.contains("\"event\":\"batch_folded\""),
-        "batched rounds close with batch events"
-    );
 }

@@ -1,20 +1,18 @@
 //! Compile-time thread-safety contract of the campaign state.
 //!
-//! The `mab::Bandit` trait has carried a `Send` supertrait since the seed,
-//! but until the sharded campaign nothing actually moved campaign state
-//! across threads, so a regression (an `Rc`, a raw pointer, a non-`Send`
-//! trait object slipped into a field) would have compiled fine and only
-//! exploded later. Now two things depend on these bounds at compile time:
-//! the grid executor sends whole campaigns to worker threads, and the shard
-//! pool sends `FuzzHarness` clones plus per-test outcomes both ways. These
+//! The `mab::Bandit` trait carries a `Send` supertrait because campaign
+//! state crosses threads: the grid executor and the service's campaign
+//! workers run whole campaigns off the thread that assembled them. A
+//! regression (an `Rc`, a raw pointer, a non-`Send` trait object slipped
+//! into a field) would otherwise compile fine and only explode later. These
 //! assertions pin every link of that chain individually, so a violation
 //! names the exact type that regressed instead of failing somewhere inside
 //! a `thread::spawn` bound.
 
 use mabfuzz_suite::coverage::{CoverageMap, CoverageSeries, CumulativeCoverage};
 use mabfuzz_suite::fuzzer::{
-    CampaignStats, ExecScratch, FuzzHarness, MutationEngine, SeedGenerator, ShardPlan, ShardPool,
-    TestCase, TestOutcome, TestPool, TheHuzzFuzzer,
+    CampaignStats, ExecScratch, FuzzHarness, MutationEngine, SeedGenerator, ShardPlan, TestCase,
+    TestOutcome, TestPool, TheHuzzFuzzer,
 };
 use mabfuzz_suite::mab::{Bandit, EpsilonGreedy, Exp3, Ucb1};
 use mabfuzz_suite::mabfuzz::{
@@ -48,8 +46,7 @@ fn campaign_state_is_send() {
     assert_send::<TestCase>();
     assert_send::<TestPool>();
 
-    // What crosses the shard-pool channels.
-    assert_send::<ShardPool>();
+    // Per-test simulation state and results.
     assert_send::<ShardPlan>();
     assert_send::<TestOutcome>();
     assert_send::<CoverageMap>();
@@ -76,8 +73,8 @@ fn bandit_trait_objects_are_send() {
 
 #[test]
 fn shared_processor_handles_are_send_and_sync() {
-    // `Arc<dyn Processor>` is cloned into every shard worker, which needs
-    // both `Send` (the Arc moves) and `Sync` (the processor is shared).
+    // `Arc<dyn Processor>` is shared by every grid cell built on it, which
+    // needs both `Send` (the Arc moves) and `Sync` (the processor is shared).
     assert_send::<std::sync::Arc<dyn Processor>>();
     assert_sync::<std::sync::Arc<dyn Processor>>();
     assert_sync::<FuzzHarness>();

@@ -134,3 +134,47 @@ fn slowloris_connections_are_cut_by_the_io_deadline() {
     client.shutdown().expect("shutdown");
     handle.join().expect("thread").expect("clean shutdown");
 }
+
+#[test]
+fn shard_counts_on_the_wire_run_the_same_single_threaded_campaign() {
+    let server = CampaignServer::bind("127.0.0.1:0", 1).expect("bind");
+    let client = Client::new(server.local_addr());
+    let handle = thread::spawn(move || server.serve());
+
+    // The `shards` key is accepted for old clients and spec files, but the
+    // count is never acted on: a huge one must cost nothing, run the
+    // 10-test campaign on its worker thread and report `"shards":1`.
+    let spec = CampaignSpec::builder()
+        .arms(4)
+        .max_tests(10)
+        .max_steps_per_test(200)
+        .rng_seed(6)
+        .processor(ProcessorKind::Rocket, BugSpec::None)
+        .build()
+        .expect("valid spec");
+    let canonical = spec.to_json();
+    assert!(canonical.contains("\"shards\":1,"), "{canonical}");
+    let huge = canonical.replace("\"shards\":1,", "\"shards\":8000,");
+    let id = client.submit(&huge).expect("a positive shard count is accepted");
+    let status = client.wait_terminal(id, Duration::from_millis(5)).expect("status");
+    assert_eq!(status.status, "finished");
+    let report = client.report(id).expect("report");
+    assert!(report.contains("\"shards\":1,"), "the report echoes one shard: {report}");
+
+    let id = client.submit(&canonical).expect("submit");
+    client.wait_terminal(id, Duration::from_millis(5)).expect("status");
+    assert_eq!(client.report(id).expect("report"), report, "the count never changes the campaign");
+
+    // Zero stays a named 400.
+    let zero = canonical.replace("\"shards\":1,", "\"shards\":0,");
+    let error = client.submit(&zero).expect_err("zero shards are rejected");
+    match error {
+        ClientError::Http { status: 400, message } => {
+            assert!(message.contains("at least one shard"), "{message}")
+        }
+        other => panic!("expected a 400, got {other}"),
+    }
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("thread").expect("clean shutdown");
+}
