@@ -9,7 +9,12 @@
 //! * `events_mabfuzz_batched.jsonl` and `events_edge_smoke.jsonl` — the
 //!   same spec at `--batch 8` and under `--coverage-signal edge`;
 //! * `events_baseline_smoke.jsonl` — a small TheHuzz baseline campaign,
-//!   pinning the per-test protocol the instrumented FIFO loop emits.
+//!   pinning the per-test protocol the instrumented FIFO loop emits;
+//! * `events_baseline_spec.jsonl` and `events_baseline_edge.jsonl` — the
+//!   checked-in spec run as TheHuzz (`experiments run --spec …
+//!   --algorithm thehuzz --events FILE`), under the point and the edge
+//!   signal; CI `cmp`s both, and the first again at `--batch 8`, which the
+//!   baseline ignores.
 //!
 //! Re-bless with `UPDATE_GOLDEN=1 cargo test --test golden_events` (like the
 //! experiments golden) and justify the re-baseline in the PR description.
@@ -18,7 +23,8 @@ use std::path::PathBuf;
 
 use mabfuzz_bench::{campaign_config, campaign_spec, FuzzerKind, ShardPlan};
 use mabfuzz_suite::mabfuzz::{
-    BugSpec, Campaign, CampaignSpec, CoverageSignal, EventLog, ProcessorSpec, SharedBuffer,
+    BugSpec, Campaign, CampaignSpec, CoverageSignal, EventLog, PolicySpec, ProcessorSpec,
+    SharedBuffer,
 };
 use mabfuzz_suite::proc_sim::ProcessorKind;
 
@@ -138,4 +144,34 @@ fn baseline_event_stream_matches_the_golden_snapshot() {
         "the stream closes with the finish event"
     );
     compare_against_golden(&stream, "events_baseline_smoke.jsonl");
+}
+
+/// The checked-in spec run as TheHuzz (`experiments run --spec …
+/// --algorithm thehuzz`): the baseline on the same campaign the bandit
+/// goldens pin, under `signal`.
+fn baseline_spec_stream(signal: CoverageSignal) -> String {
+    let mut spec = mabfuzz_smoke_spec();
+    spec.policy = PolicySpec::Baseline;
+    spec.coverage_signal = signal;
+    let stream = event_stream(&spec);
+    assert_eq!(stream.lines().filter(|l| l.contains("\"event\":\"test_folded\"")).count(), 120);
+    assert!(
+        !stream.contains("\"event\":\"arm_selected\"")
+            && !stream.contains("\"event\":\"batch_folded\"")
+            && !stream.contains("\"event\":\"arm_reset\""),
+        "the baseline has no bandit rounds"
+    );
+    stream
+}
+
+#[test]
+fn baseline_spec_event_stream_matches_the_golden_snapshot() {
+    let stream = baseline_spec_stream(CoverageSignal::Point);
+    compare_against_golden(&stream, "events_baseline_spec.jsonl");
+}
+
+#[test]
+fn baseline_edge_event_stream_matches_the_golden_snapshot() {
+    let stream = baseline_spec_stream(CoverageSignal::Edge);
+    compare_against_golden(&stream, "events_baseline_edge.jsonl");
 }
