@@ -602,7 +602,7 @@ fn run_fig4(options: &Options, runner: &dyn CellRunner) -> Result<(), String> {
 fn run_ablation(options: &Options, runner: &dyn CellRunner) -> Result<(), String> {
     let core = options.cores.first().copied().unwrap_or(ProcessorKind::Rocket);
     if !options.json {
-        println!("== Parameter ablations (UCB on Rocket) ==\n");
+        println!("== Parameter ablations (UCB on {core}) ==\n");
     }
     let sweeps = [
         ablation::alpha_sweep_on(core, &options.budget, &ShardPlan::serial(), runner)?,

@@ -2,7 +2,6 @@
 
 use coverage::CoverageMap;
 use fuzzer::{TestCase, TestPool};
-use serde::{Deserialize, Serialize};
 
 /// One bandit arm: a seed, the pool of tests derived from it by mutation, and
 /// the arm-local cumulative coverage used for the `cov_L` reward term.
@@ -15,23 +14,6 @@ pub struct Arm {
     pulls_since_reset: u64,
     total_pulls: u64,
     resets: u64,
-}
-
-/// Summary statistics of an arm, exposed for reporting and ablations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ArmStats {
-    /// The arm's index.
-    pub index: usize,
-    /// Pulls since the last reset.
-    pub pulls_since_reset: u64,
-    /// Total pulls across all seeds this arm has held.
-    pub total_pulls: u64,
-    /// How many times the arm has been reset (replaced by a fresh seed).
-    pub resets: u64,
-    /// Number of coverage points the current seed family has reached.
-    pub local_coverage: usize,
-    /// Pending tests in the arm's pool.
-    pub pending_tests: usize,
 }
 
 impl Arm {
@@ -127,18 +109,6 @@ impl Arm {
     pub fn total_pulls(&self) -> u64 {
         self.total_pulls
     }
-
-    /// Returns the arm's summary statistics.
-    pub fn stats(&self) -> ArmStats {
-        ArmStats {
-            index: self.index,
-            pulls_since_reset: self.pulls_since_reset,
-            total_pulls: self.total_pulls,
-            resets: self.resets,
-            local_coverage: self.local_coverage.count(),
-            pending_tests: self.pool.len(),
-        }
-    }
 }
 
 impl std::fmt::Display for Arm {
@@ -206,18 +176,5 @@ mod tests {
         assert_eq!(arm.pulls_since_reset(), 0);
         assert_eq!(arm.total_pulls(), 1, "lifetime pulls survive resets");
         assert_eq!(arm.resets(), 1);
-    }
-
-    #[test]
-    fn stats_snapshot_reflects_the_arm() {
-        let mut arm = Arm::new(2, seed(4), 16);
-        arm.next_test();
-        arm.absorb_coverage(&coverage(16, &[0, 1]));
-        let stats = arm.stats();
-        assert_eq!(stats.index, 2);
-        assert_eq!(stats.total_pulls, 1);
-        assert_eq!(stats.local_coverage, 2);
-        assert_eq!(stats.pending_tests, 0);
-        assert!(arm.to_string().contains("arm 2"));
     }
 }

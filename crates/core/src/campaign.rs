@@ -10,21 +10,26 @@
 //! the examples all reach it through specs; custom bandit policies plug in
 //! by name through [`mab::register_policy`].
 //!
-//! Both scheduling worlds run through here, and both speak the full
-//! [`CampaignObserver`] event protocol:
+//! # One loop, two schedules
 //!
-//! * [`PolicySpec::Baseline`](crate::spec::PolicySpec) executes the
-//!   TheHuzz-style FIFO baseline (no bandit, no arms — the outcome's arm
-//!   summary is empty) through the instrumented per-test fold of
-//!   `TheHuzzFuzzer::run_with`: observers stream [`TestFolded`],
-//!   [`DetectionObserved`] and [`CoverageMilestone`] per executed test
-//!   (under the baseline conventions documented in
-//!   [`observer`](crate::observer)) and the final [`CampaignFinished`];
-//! * [`PolicySpec::Bandit`](crate::spec::PolicySpec) executes the MABFuzz
-//!   loop of Fig. 2, one test or one batch per round per the spec's plan,
-//!   with the determinism contract of `fuzzer::shard` intact: attaching
-//!   observers never changes a single byte of the report, and the event
-//!   stream always fires in `test_index` fold order.
+//! Every campaign runs the same simulate–compare–mutate loop (§I-B, Fig. 2
+//! of the paper); the spec's [`PolicySpec`] only picks how that loop
+//! schedules its tests:
+//!
+//! * [`PolicySpec::Baseline`] is TheHuzz's static FIFO schedule (§II-A):
+//!   every seed queues in one pool, tests run strictly first in, first out,
+//!   an empty pool gets a fresh random seed, and there is no bandit to
+//!   select, reward or reset. One test runs per step whatever the spec's
+//!   batch size, and the outcome's arm summary is empty;
+//! * [`PolicySpec::Bandit`] is MABFuzz: one arm per seed, a bandit that
+//!   picks the arm of each round, γ-window resets of saturated arms, and
+//!   one test or one batch per round per the spec's plan.
+//!
+//! Both stream the [`CampaignObserver`] event protocol in fold order (the
+//! FIFO schedule's conventions are documented in
+//! [`observer`](crate::observer)), with the determinism contract of
+//! `fuzzer::shard` intact: attaching observers never changes a single byte
+//! of the report.
 
 use std::sync::Arc;
 
@@ -32,7 +37,6 @@ use coverage::CoverageMap;
 use fuzzer::shard::derive_stream_seed;
 use fuzzer::{
     CampaignStats, DiffReport, ExecScratch, FuzzHarness, MutationEngine, SeedGenerator, TestCase,
-    TheHuzzFuzzer,
 };
 use mab::Bandit;
 use proc_sim::Processor;
@@ -74,25 +78,17 @@ pub struct MabFuzzOutcome {
     pub total_resets: u64,
 }
 
-/// The assembled state of one MABFuzz campaign, ready to run: the harness
-/// over the processor under test, the validated spec (label, arms, α, γ,
-/// budget, generator, RNG seed and batch plan all come from it) and the
-/// bandit policy it names.
-struct MabSession {
-    harness: FuzzHarness,
-    spec: CampaignSpec,
-    bandit: Box<dyn Bandit>,
-}
-
-impl MabSession {
-    fn label(&self) -> String {
-        format!("{} on {}", self.spec.label(), self.harness.processor().name())
-    }
-}
-
-enum CampaignKind {
-    Baseline(TheHuzzFuzzer),
-    Mab(MabSession),
+/// How the campaign loop schedules its tests — the one thing a
+/// [`PolicySpec`] decides.
+enum Schedule {
+    /// TheHuzz: all seeds queue in arm 0's FIFO pool, an empty pool gets a
+    /// fresh seed, one test per step, no bandit and no resets. Arm 0 never
+    /// resets, so its local novelty is the campaign's global novelty — the
+    /// count TheHuzz gates mutation on.
+    Fifo,
+    /// MABFuzz: one arm per seed, the bandit selects each round's arm, an
+    /// empty pool gets a mutant of the arm's seed, and saturated arms reset.
+    Bandit(Box<dyn Bandit>),
 }
 
 /// One fuzzing campaign, assembled and ready to
@@ -118,7 +114,8 @@ enum CampaignKind {
 /// Under a batched plan each round pulls a batch of tests from the selected
 /// arm, simulates it in place on the campaign thread and folds the
 /// observations in `test_index` order (see the determinism contract in
-/// [`fuzzer::shard`]).
+/// [`fuzzer::shard`]). A baseline campaign runs steps 2–4 alone, over one
+/// FIFO pool.
 ///
 /// # Example
 ///
@@ -149,7 +146,9 @@ enum CampaignKind {
 /// assert!(outcome.stats.label().contains("doc-uniform"));
 /// ```
 pub struct Campaign {
-    kind: CampaignKind,
+    harness: FuzzHarness,
+    spec: CampaignSpec,
+    schedule: Schedule,
     observers: Vec<Box<dyn CampaignObserver>>,
     cancel: Option<CancelToken>,
 }
@@ -186,12 +185,8 @@ impl Campaign {
     /// entry points funnel through here, so validation runs exactly once per
     /// construction and error ordering cannot drift between them).
     fn assemble(processor: Arc<dyn Processor>, spec: &CampaignSpec) -> Result<Campaign, SpecError> {
-        let kind = match spec.policy {
-            PolicySpec::Baseline => {
-                let mut fuzzer = TheHuzzFuzzer::new(processor, spec.campaign.clone(), spec.rng_seed);
-                fuzzer.set_coverage_signal(spec.coverage_signal);
-                CampaignKind::Baseline(fuzzer)
-            }
+        let schedule = match spec.policy {
+            PolicySpec::Baseline => Schedule::Fifo,
             PolicySpec::Bandit(kind) => {
                 let bandit = kind.build_with(&spec.policy_params(kind));
                 if bandit.arms() != spec.arms() {
@@ -200,14 +195,14 @@ impl Campaign {
                         spec: spec.arms(),
                     });
                 }
-                let mut harness = FuzzHarness::new(processor, spec.campaign.max_steps_per_test);
-                // `coverage_space_len` then sizes the stats and arms for the
-                // selected space automatically.
-                harness.set_coverage_signal(spec.coverage_signal);
-                CampaignKind::Mab(MabSession { harness, spec: spec.clone(), bandit })
+                Schedule::Bandit(bandit)
             }
         };
-        Ok(Campaign { kind, observers: Vec::new(), cancel: None })
+        let mut harness = FuzzHarness::new(processor, spec.campaign.max_steps_per_test);
+        // `coverage_space_len` then sizes the stats and arms for the selected
+        // space automatically.
+        harness.set_coverage_signal(spec.coverage_signal);
+        Ok(Campaign { harness, spec: spec.clone(), schedule, observers: Vec::new(), cancel: None })
     }
 
     /// Attaches a streaming observer (builder style). Observers receive the
@@ -240,10 +235,7 @@ impl Campaign {
     /// Returns the campaign's report label (`"TheHuzz on rocket"`,
     /// `"MABFuzz: UCB on cva6"`, …).
     pub fn label(&self) -> String {
-        match &self.kind {
-            CampaignKind::Baseline(fuzzer) => format!("TheHuzz on {}", fuzzer.processor_name()),
-            CampaignKind::Mab(session) => session.label(),
-        }
+        format!("{} on {}", self.spec.label(), self.harness.processor().name())
     }
 
     /// Returns the size of the processor's coverage space — what the
@@ -251,13 +243,13 @@ impl Campaign {
     /// (e.g. a [`ProgressMonitor`](crate::ProgressMonitor)) are measured
     /// against.
     pub fn coverage_space_len(&self) -> usize {
-        match &self.kind {
-            CampaignKind::Baseline(fuzzer) => fuzzer.coverage_space_len(),
-            CampaignKind::Mab(session) => session.harness.coverage_space_len(),
-        }
+        self.harness.coverage_space_len()
     }
 
-    /// Runs the campaign to completion.
+    /// Runs the campaign to completion: select an arm, assemble the round's
+    /// batch, simulate each test in place and fold it, in `test_index`
+    /// order (Fig. 2 of the paper, batched). The FIFO schedule skips the
+    /// selection and runs one test per round.
     ///
     /// Baseline campaigns return an outcome with an empty arm summary (there
     /// are no bandit arms to report); MABFuzz campaigns produce the full
@@ -265,13 +257,137 @@ impl Campaign {
     /// observers (see the baseline vocabulary in
     /// [`observer`](crate::observer)). Reports — and event streams — are a
     /// pure function of the spec, independent of attached observers.
-    pub fn execute(mut self) -> MabFuzzOutcome {
-        match self.kind {
-            CampaignKind::Baseline(fuzzer) => {
-                execute_baseline(fuzzer, &mut self.observers, self.cancel.as_ref())
+    pub fn execute(self) -> MabFuzzOutcome {
+        let label = self.label();
+        let Campaign { harness, spec, schedule, observers, cancel } = self;
+        let config = &spec.campaign;
+        let space_len = harness.coverage_space_len();
+        let max_tests = config.max_tests;
+        let campaign_seed = spec.rng_seed;
+        let batch_size = match schedule {
+            Schedule::Fifo => 1,
+            Schedule::Bandit(_) => spec.plan().batch_size(),
+        };
+        // Per-test derived RNG streams are a batched-mode feature; the
+        // batch-size-1 plan keeps every draw on the main RNG so serial
+        // campaigns reproduce the unbatched stream byte for byte.
+        let legacy_stream = batch_size == 1;
+        let mut scratch = ExecScratch::new();
+
+        let mut fold = CampaignFold {
+            stats: CampaignStats::new(label, space_len, config.sample_interval),
+            arms: Vec::new(),
+            monitor: SaturationMonitor::new(spec.arms(), spec.gamma),
+            schedule,
+            rng: StdRng::seed_from_u64(campaign_seed),
+            seeds: SeedGenerator::new(config.generator.clone()),
+            mutator: MutationEngine::new(config.generator.clone()),
+            reward_params: RewardParams::new(spec.alpha),
+            space_len,
+            mutations_per_interesting_test: config.mutations_per_interesting_test,
+            stop_on_first_detection: config.stop_on_first_detection,
+            total_resets: 0,
+            pending_rewards: Vec::with_capacity(batch_size),
+            arm_index: 0,
+            round: 0,
+            round_tests: 0,
+            deciles: DecileTracker::new(space_len),
+            observers,
+        };
+        let mut seeds = fold.seeds.generate_seeds(&mut fold.rng, spec.arms()).into_iter();
+        fold.arms = match fold.schedule {
+            // TheHuzz queues every seed in one global pool.
+            Schedule::Fifo => {
+                let mut arm = Arm::new(0, seeds.next().expect("a valid spec has seeds"), space_len);
+                arm.pool_mut().extend(seeds);
+                vec![arm]
             }
-            CampaignKind::Mab(session) => execute_mab(session, self.observers, self.cancel.as_ref()),
+            // One seed per arm (Fig. 2: "Given a seed pool with each seed
+            // corresponding to an arm").
+            Schedule::Bandit(_) => {
+                seeds.enumerate().map(|(index, seed)| Arm::new(index, seed, space_len)).collect()
+            }
+        };
+
+        let mut round: u64 = 0;
+        while fold.stats.tests_executed() < max_tests {
+            // Cooperative cancellation cuts the campaign at a round (fold)
+            // boundary: every round that started folds completely, so the
+            // event stream so far is a strict prefix of the uncancelled
+            // stream.
+            if let Some(token) = &cancel {
+                if token.is_cancelled() {
+                    token.mark_interrupted();
+                    break;
+                }
+            }
+            let remaining =
+                usize::try_from(max_tests - fold.stats.tests_executed()).unwrap_or(usize::MAX);
+            let batch_len = batch_size.min(remaining);
+
+            // 1. Select the round's arm.
+            fold.begin_round(round, batch_len);
+
+            // Derived per-test streams for this round (batched mode only).
+            let mut lanes: Vec<StdRng> = if legacy_stream {
+                Vec::new()
+            } else {
+                (0..batch_len)
+                    .map(|index| {
+                        StdRng::seed_from_u64(derive_stream_seed(campaign_seed, round, index as u64))
+                    })
+                    .collect()
+            };
+
+            // 2. Assemble the whole batch before any fold: folding pushes
+            //    mutants into the arm's pool, so interleaving the two would
+            //    change which tests the batch holds.
+            let batch = fold.assemble_batch(batch_len, &mut lanes);
+
+            // 3. Simulate each test in place and 4. fold it, in test order.
+            let mut stopped = false;
+            for (slot, test) in batch.iter().enumerate() {
+                let view = harness.run_program_into(&test.program, &mut scratch);
+                if fold.fold_test(test, view.coverage, view.diff, lanes.get_mut(slot)) {
+                    stopped = true;
+                    break;
+                }
+            }
+            fold.flush_rewards();
+            fold.finish_round();
+            if stopped {
+                break;
+            }
+            round += 1;
         }
+
+        fold.stats.finish();
+        let arm_summaries = match fold.schedule {
+            Schedule::Fifo => Vec::new(),
+            Schedule::Bandit(_) => fold
+                .arms
+                .iter()
+                .map(|arm| ArmSummary {
+                    index: arm.index(),
+                    pulls: arm.total_pulls(),
+                    resets: arm.resets(),
+                    final_local_coverage: arm.local_coverage().count(),
+                })
+                .collect(),
+        };
+        // An interrupted campaign's stream stays a strict prefix of the full
+        // run's stream: the finished event is withheld (see `cancel`).
+        if !cancel.as_ref().is_some_and(CancelToken::was_interrupted) {
+            let finished = CampaignFinished {
+                tests_executed: fold.stats.tests_executed(),
+                final_coverage: fold.stats.final_coverage(),
+                total_resets: fold.total_resets,
+            };
+            for observer in &mut fold.observers {
+                observer.campaign_finished(&finished);
+            }
+        }
+        MabFuzzOutcome { stats: fold.stats, arms: arm_summaries, total_resets: fold.total_resets }
     }
 }
 
@@ -284,218 +400,6 @@ impl std::fmt::Debug for Campaign {
     }
 }
 
-/// The baseline (TheHuzz) campaign path: the FIFO loop of
-/// `fuzzer::thehuzz`, instrumented with the shared per-test event protocol.
-///
-/// Observer-less campaigns (the whole experiment grid, the golden runs, the
-/// benches) take the sink-less `run()` and pay nothing for the seam;
-/// observed campaigns stream [`TestFolded`], [`DetectionObserved`] and
-/// [`CoverageMilestone`] per executed test in FIFO order — draw-for-draw the
-/// same campaign, since the sink cannot perturb the loop.
-fn execute_baseline(
-    fuzzer: TheHuzzFuzzer,
-    observers: &mut [Box<dyn CampaignObserver>],
-    cancel: Option<&CancelToken>,
-) -> MabFuzzOutcome {
-    // The stop probe marks the token the moment the FIFO loop observes it,
-    // so `was_interrupted` reflects an actual early cut, not merely a
-    // request that arrived after the budget was already exhausted.
-    let should_stop = || {
-        cancel.is_some_and(|token| {
-            let cancelled = token.is_cancelled();
-            if cancelled {
-                token.mark_interrupted();
-            }
-            cancelled
-        })
-    };
-    let stats = if observers.is_empty() && cancel.is_none() {
-        fuzzer.run()
-    } else {
-        let space_len = fuzzer.coverage_space_len();
-        let mut deciles = DecileTracker::new(space_len);
-        fuzzer.run_with_stop(should_stop, |record| {
-            let event = TestFolded {
-                test_number: record.test_number,
-                test_id: record.test_id,
-                // Baseline conventions (see the observer module docs): no
-                // arms (0), one global pool (local == global novelty), no
-                // bandit to reward (0.0).
-                arm: 0,
-                local_new: record.new_points,
-                global_new: record.new_points,
-                covered: record.covered,
-                reward: 0.0,
-                detected: record.detected,
-                coverage: record.coverage,
-                diff: record.diff,
-            };
-            for observer in observers.iter_mut() {
-                observer.test_folded(&event);
-            }
-            if record.detected {
-                let event = DetectionObserved {
-                    test_number: record.test_number,
-                    test_id: record.test_id,
-                    arm: 0,
-                    diff: record.diff,
-                };
-                for observer in observers.iter_mut() {
-                    observer.detection(&event);
-                }
-            }
-            for decile in deciles.crossed(record.covered) {
-                let event = CoverageMilestone {
-                    decile,
-                    covered: record.covered,
-                    space_len,
-                    test_number: record.test_number,
-                };
-                for observer in observers.iter_mut() {
-                    observer.coverage_milestone(&event);
-                }
-            }
-        })
-    };
-    // An interrupted campaign's stream stays a strict prefix of the full
-    // run's stream: the finished event is withheld (see `cancel`).
-    if !cancel.is_some_and(CancelToken::was_interrupted) {
-        let finished = CampaignFinished {
-            tests_executed: stats.tests_executed(),
-            final_coverage: stats.final_coverage(),
-            total_resets: 0,
-        };
-        for observer in observers.iter_mut() {
-            observer.campaign_finished(&finished);
-        }
-    }
-    MabFuzzOutcome { stats, arms: Vec::new(), total_resets: 0 }
-}
-
-/// The MABFuzz campaign loop (Fig. 2 of the paper, batched): select an arm,
-/// assemble the round's batch, simulate each test in place and fold it, in
-/// `test_index` order.
-fn execute_mab(
-    session: MabSession,
-    observers: Vec<Box<dyn CampaignObserver>>,
-    cancel: Option<&CancelToken>,
-) -> MabFuzzOutcome {
-    let label = session.label();
-    let MabSession { harness, spec, bandit } = session;
-    let plan = spec.plan();
-    let config = &spec.campaign;
-    let space_len = harness.coverage_space_len();
-    let max_tests = config.max_tests;
-    let campaign_seed = spec.rng_seed;
-    // Per-test derived RNG streams are a batched-mode feature; the
-    // batch-size-1 plan keeps every draw on the main RNG so serial
-    // campaigns reproduce the unbatched stream byte for byte.
-    let legacy_stream = plan.is_serial();
-    let mut scratch = ExecScratch::new();
-
-    let mut fold = CampaignFold {
-        stats: CampaignStats::new(label, space_len, config.sample_interval),
-        arms: Vec::new(),
-        monitor: SaturationMonitor::new(spec.arms(), spec.gamma),
-        bandit,
-        rng: StdRng::seed_from_u64(campaign_seed),
-        seeds: SeedGenerator::new(config.generator.clone()),
-        mutator: MutationEngine::new(config.generator.clone()),
-        reward_params: RewardParams::new(spec.alpha),
-        space_len,
-        mutations_per_interesting_test: config.mutations_per_interesting_test,
-        stop_on_first_detection: config.stop_on_first_detection,
-        total_resets: 0,
-        pending_rewards: Vec::with_capacity(plan.batch_size()),
-        arm_index: 0,
-        round: 0,
-        round_tests: 0,
-        deciles: DecileTracker::new(space_len),
-        observers,
-    };
-    // One seed per arm (Fig. 2: "Given a seed pool with each seed
-    // corresponding to an arm").
-    fold.arms = (0..spec.arms())
-        .map(|index| Arm::new(index, fold.seeds.generate_seed(&mut fold.rng), space_len))
-        .collect();
-
-    let mut round: u64 = 0;
-    while fold.stats.tests_executed() < max_tests {
-        // Cooperative cancellation cuts the campaign at a round (fold)
-        // boundary: every round that started folds completely, so the event
-        // stream so far is a strict prefix of the uncancelled stream.
-        if let Some(token) = cancel {
-            if token.is_cancelled() {
-                token.mark_interrupted();
-                break;
-            }
-        }
-        let remaining =
-            usize::try_from(max_tests - fold.stats.tests_executed()).unwrap_or(usize::MAX);
-        let batch_len = plan.batch_size().min(remaining);
-
-        // 1. Select the round's arm.
-        fold.begin_round(round, batch_len);
-
-        // Derived per-test streams for this round (batched mode only).
-        let mut lanes: Vec<StdRng> = if legacy_stream {
-            Vec::new()
-        } else {
-            (0..batch_len)
-                .map(|index| {
-                    StdRng::seed_from_u64(derive_stream_seed(campaign_seed, round, index as u64))
-                })
-                .collect()
-        };
-
-        // 2. Assemble the whole batch before any fold: folding pushes
-        //    mutants into the arm's pool, so interleaving the two would
-        //    change which tests the batch holds.
-        let batch = fold.assemble_batch(batch_len, &mut lanes);
-
-        // 3. Simulate each test in place and 4. fold it, in test order.
-        let mut stopped = false;
-        for (slot, test) in batch.iter().enumerate() {
-            let view = harness.run_program_into(&test.program, &mut scratch);
-            if fold.fold_test(test, view.coverage, view.diff, lanes.get_mut(slot)) {
-                stopped = true;
-                break;
-            }
-        }
-        fold.flush_rewards();
-        fold.finish_round();
-        if stopped {
-            break;
-        }
-        round += 1;
-    }
-
-    fold.stats.finish();
-    let arm_summaries = fold
-        .arms
-        .iter()
-        .map(|arm| ArmSummary {
-            index: arm.index(),
-            pulls: arm.total_pulls(),
-            resets: arm.resets(),
-            final_local_coverage: arm.local_coverage().count(),
-        })
-        .collect();
-    // An interrupted campaign's stream stays a strict prefix of the full
-    // run's stream: the finished event is withheld (see `cancel`).
-    if !cancel.is_some_and(CancelToken::was_interrupted) {
-        let finished = CampaignFinished {
-            tests_executed: fold.stats.tests_executed(),
-            final_coverage: fold.stats.final_coverage(),
-            total_resets: fold.total_resets,
-        };
-        for observer in &mut fold.observers {
-            observer.campaign_finished(&finished);
-        }
-    }
-    MabFuzzOutcome { stats: fold.stats, arms: arm_summaries, total_resets: fold.total_resets }
-}
-
 /// Everything the ordered reduction of a campaign round mutates.
 ///
 /// The fold *is* the built-in observer: its direct `stats` bookkeeping
@@ -506,7 +410,7 @@ struct CampaignFold {
     stats: CampaignStats,
     arms: Vec<Arm>,
     monitor: SaturationMonitor,
-    bandit: Box<dyn Bandit>,
+    schedule: Schedule,
     rng: StdRng,
     seeds: SeedGenerator,
     mutator: MutationEngine,
@@ -524,11 +428,15 @@ struct CampaignFold {
 }
 
 impl CampaignFold {
-    /// Starts a round: the bandit picks the arm the whole batch pulls.
+    /// Starts a round: the bandit picks the arm the whole batch pulls (the
+    /// FIFO schedule stays on arm 0 and draws nothing).
     fn begin_round(&mut self, round: u64, batch_len: usize) {
-        self.arm_index = self.bandit.select(&mut self.rng);
         self.round = round;
         self.round_tests = 0;
+        let Schedule::Bandit(bandit) = &mut self.schedule else {
+            return;
+        };
+        self.arm_index = bandit.select(&mut self.rng);
         if !self.observers.is_empty() {
             let event = ArmSelected { round, arm: self.arm_index, batch_len };
             for observer in &mut self.observers {
@@ -539,7 +447,7 @@ impl CampaignFold {
 
     /// Ends a round after its rewards were flushed.
     fn finish_round(&mut self) {
-        if !self.observers.is_empty() {
+        if matches!(self.schedule, Schedule::Bandit(_)) && !self.observers.is_empty() {
             let event =
                 BatchFolded { round: self.round, arm: self.arm_index, tests: self.round_tests };
             for observer in &mut self.observers {
@@ -548,23 +456,25 @@ impl CampaignFold {
         }
     }
 
-    /// Pops the round's batch from the selected arm's pool, refilling an
-    /// empty pool by mutating the arm's seed. Refill randomness comes from
-    /// the slot's derived lane when one exists (batched rounds) and from
-    /// the main RNG otherwise (the legacy batch-size-1 stream).
+    /// Pops the round's batch from the selected arm's pool. An empty pool
+    /// gets a fresh seed under the FIFO schedule and a mutant of the arm's
+    /// seed under a bandit. Refill randomness comes from the slot's derived
+    /// lane when one exists (batched rounds) and from the main RNG otherwise
+    /// (the legacy batch-size-1 stream).
     fn assemble_batch(&mut self, batch_len: usize, lanes: &mut [StdRng]) -> Vec<TestCase> {
         let mut batch = Vec::with_capacity(batch_len);
         for slot in 0..batch_len {
             let arm = &mut self.arms[self.arm_index];
-            let test = match arm.next_test() {
-                Some(test) => test,
-                None => {
+            let test = match (arm.next_test(), &self.schedule) {
+                (Some(test), _) => test,
+                (None, Schedule::Fifo) => self.seeds.generate_seed(&mut self.rng),
+                (None, Schedule::Bandit(_)) => {
                     let rng = match lanes.get_mut(slot) {
                         Some(lane) => lane,
                         None => &mut self.rng,
                     };
                     let (mutant, _) = self.mutator.mutate(&arm.seed().program, rng);
-                    let child = self.seeds.adopt_child(&arm.seed().clone(), mutant);
+                    let child = self.seeds.adopt_child(arm.seed(), mutant);
                     arm.pool_mut().push(child);
                     arm.next_test().expect("pool was just refilled")
                 }
@@ -613,39 +523,46 @@ impl CampaignFold {
             }
         }
 
+        let Schedule::Bandit(bandit) = &self.schedule else {
+            // The FIFO schedule rewards nothing and never resets.
+            self.emit_test_events(test, coverage, diff, local_new, global_new, 0.0, detected);
+            return false;
+        };
         // Queue the reward; the round flush (or a reset) folds the pending
         // rewards into the bandit in order via `update_batch`.
-        let reward = self.reward_params.policy_reward(
-            self.bandit.kind(),
-            local_new,
-            global_new,
-            self.space_len,
-        );
+        let reward =
+            self.reward_params.policy_reward(bandit.kind(), local_new, global_new, self.space_len);
         self.pending_rewards.push(reward);
         self.emit_test_events(test, coverage, diff, local_new, global_new, reward, detected);
 
-        // Reset saturated arms. Pending rewards are flushed first so the
-        // bandit observes update-then-reset in the same order as a serial
-        // campaign.
         if self.monitor.record(self.arm_index, local_new) {
-            self.flush_rewards();
-            let fresh = self.seeds.generate_seed(&mut self.rng);
-            self.arms[self.arm_index].reset(fresh);
-            self.bandit.reset_arm(self.arm_index);
-            self.monitor.reset_arm(self.arm_index);
-            self.total_resets += 1;
-            if !self.observers.is_empty() {
-                let event = ArmReset {
-                    arm: self.arm_index,
-                    test_number: self.stats.tests_executed(),
-                    total_resets: self.total_resets,
-                };
-                for observer in &mut self.observers {
-                    observer.arm_reset(&event);
-                }
-            }
+            self.reset_arm();
         }
         false
+    }
+
+    /// Resets the saturated selected arm. Pending rewards are flushed first
+    /// so the bandit observes update-then-reset in the same order as a
+    /// serial campaign.
+    fn reset_arm(&mut self) {
+        self.flush_rewards();
+        let fresh = self.seeds.generate_seed(&mut self.rng);
+        self.arms[self.arm_index].reset(fresh);
+        if let Schedule::Bandit(bandit) = &mut self.schedule {
+            bandit.reset_arm(self.arm_index);
+        }
+        self.monitor.reset_arm(self.arm_index);
+        self.total_resets += 1;
+        if !self.observers.is_empty() {
+            let event = ArmReset {
+                arm: self.arm_index,
+                test_number: self.stats.tests_executed(),
+                total_resets: self.total_resets,
+            };
+            for observer in &mut self.observers {
+                observer.arm_reset(&event);
+            }
+        }
     }
 
     /// Streams the per-test events (test folded, detection, coverage
@@ -711,11 +628,13 @@ impl CampaignFold {
     }
 
     /// Folds the queued rewards of the current round into the bandit, in
-    /// `test_index` order.
+    /// `test_index` order (the FIFO schedule never queues any).
     fn flush_rewards(&mut self) {
-        if !self.pending_rewards.is_empty() {
-            self.bandit.update_batch(self.arm_index, &self.pending_rewards);
-            self.pending_rewards.clear();
+        if let Schedule::Bandit(bandit) = &mut self.schedule {
+            if !self.pending_rewards.is_empty() {
+                bandit.update_batch(self.arm_index, &self.pending_rewards);
+                self.pending_rewards.clear();
+            }
         }
     }
 }
@@ -740,6 +659,20 @@ mod tests {
             .mutations_per_interesting_test(2)
             .sample_interval(5)
             .rng_seed(3)
+            .build()
+            .expect("valid spec")
+    }
+
+    /// The baseline counterpart of `quick_spec`: TheHuzz over four seeds.
+    fn quick_baseline(max_tests: u64, rng_seed: u64) -> CampaignSpec {
+        CampaignSpec::builder()
+            .baseline()
+            .arms(4)
+            .max_tests(max_tests)
+            .max_steps_per_test(200)
+            .mutations_per_interesting_test(2)
+            .sample_interval(5)
+            .rng_seed(rng_seed)
             .build()
             .expect("valid spec")
     }
@@ -961,9 +894,34 @@ mod tests {
         assert!(campaign.label().starts_with("TheHuzz on rocket"), "{}", campaign.label());
         let outcome = campaign.execute();
         assert_eq!(outcome.stats.tests_executed(), 15);
+        assert!(outcome.stats.final_coverage() > 100, "15 tests cover a fair number of points");
+        assert_eq!(outcome.stats.mismatching_tests(), 0, "a bug-free core never mismatches");
         assert!(outcome.arms.is_empty(), "the baseline has no bandit arms");
         assert_eq!(outcome.total_resets, 0);
         assert!(outcome.stats.label().contains("TheHuzz"));
+    }
+
+    #[test]
+    fn baseline_coverage_grows_monotonically_and_saturates() {
+        let outcome = Campaign::from_spec_on(rocket(), &quick_baseline(60, 2)).unwrap().execute();
+        let history = outcome.stats.cumulative().history();
+        assert!(history.windows(2).all(|w| w[1] >= w[0]));
+        // Early tests contribute far more new coverage than late ones
+        // (diminishing returns — the property MABFuzz exploits).
+        let first_10 = history[9];
+        let last_10_gain = history[history.len() - 1] - history[history.len() - 11];
+        assert!(first_10 > last_10_gain, "coverage gains should diminish over time");
+    }
+
+    #[test]
+    fn baseline_campaigns_reproduce_per_rng_seed() {
+        let run = |rng_seed| Campaign::from_spec_on(rocket(), &quick_baseline(15, rng_seed)).unwrap().execute();
+        assert_eq!(run(9), run(9), "the same seed reproduces the same campaign");
+        assert_ne!(
+            run(10).stats.cumulative().history(),
+            run(11).stats.cumulative().history(),
+            "different seeds explore differently"
+        );
     }
 
     #[test]
@@ -988,8 +946,9 @@ mod tests {
         assert_eq!(plain, observed, "observers must never change the baseline campaign");
 
         let log = log.lock().unwrap();
-        let tests = log.iter().filter(|l| l.starts_with("test:")).count();
-        assert_eq!(tests, 30, "one TestFolded per executed FIFO test");
+        let tests: Vec<&String> = log.iter().filter(|l| l.starts_with("test:")).collect();
+        let in_order: Vec<String> = (1..=30).map(|n| format!("test:{n}")).collect();
+        assert_eq!(tests, in_order.iter().collect::<Vec<_>>(), "one TestFolded per FIFO test, in order");
         assert!(
             !log.iter().any(|l| l.starts_with("select:") || l.starts_with("batch:")),
             "the baseline has no bandit rounds: {log:?}"
@@ -1002,44 +961,26 @@ mod tests {
     }
 
     #[test]
-    fn routed_baseline_matches_the_legacy_wrapper_in_detection_mode() {
-        // Satellite check: TheHuzz breaks out of the loop after recording the
-        // detecting test but before enqueuing mutants; the Campaign-routed
-        // path must reproduce that ordering draw-for-draw.
-        let spec = CampaignSpec::builder()
-            .baseline()
-            .max_tests(400)
-            .max_steps_per_test(200)
-            .mutations_per_interesting_test(2)
-            .arms(4)
-            .sample_interval(5)
-            .stop_on_first_detection(true)
-            .rng_seed(3)
-            .build()
-            .unwrap();
-        let cva6 = || Arc::new(Cva6Core::new(BugSet::only(Vulnerability::V5MissingAccessFault)));
-        let legacy = fuzzer::TheHuzzFuzzer::new(cva6(), spec.campaign.clone(), spec.rng_seed).run();
-
+    fn baseline_detection_mode_reports_the_detecting_test_last() {
+        // TheHuzz folds the detecting test, streams it, and stops before
+        // enqueuing its mutants.
+        let mut spec = quick_baseline(400, 3);
+        spec.campaign.stop_on_first_detection = true;
         let log = Arc::new(Mutex::new(Vec::new()));
-        let routed = Campaign::from_spec_on(cva6(), &spec)
-            .unwrap()
-            .with_observer(Box::new(Recorder { log: Arc::clone(&log) }))
-            .execute();
+        let outcome = Campaign::from_spec_on(
+            Arc::new(Cva6Core::new(BugSet::only(Vulnerability::V5MissingAccessFault))),
+            &spec,
+        )
+        .unwrap()
+        .with_observer(Box::new(Recorder { log: Arc::clone(&log) }))
+        .execute();
 
-        assert_eq!(legacy, routed.stats, "routed baseline diverged from the legacy wrapper");
-        let detection = legacy.first_detection().expect("V5 is easy to trigger");
-        assert_eq!(legacy.tests_executed(), detection, "the campaign stops on the detecting test");
-        assert_eq!(routed.stats.tests_executed(), detection);
+        let detection = outcome.stats.first_detection().expect("V5 is easy to trigger");
+        assert_eq!(outcome.stats.tests_executed(), detection, "the campaign stops on the detection");
         let log = log.lock().unwrap();
-        assert!(
-            log.contains(&format!("detect:{detection}")),
-            "the stopping detection streams as an event: {log:?}"
-        );
-        assert_eq!(
-            log.iter().filter(|l| l.starts_with("test:")).count() as u64,
-            detection,
-            "the detecting test is the last TestFolded"
-        );
+        let last_test = log.iter().rfind(|l| l.starts_with("test:"));
+        assert_eq!(last_test, Some(&format!("test:{detection}")), "the detecting test is folded last");
+        assert!(log.contains(&format!("detect:{detection}")), "the detection streams: {log:?}");
     }
 
     /// Records every event category, to pin dispatch order and content.
@@ -1233,9 +1174,24 @@ mod tests {
             .execute();
         assert!(token.was_interrupted());
         assert_eq!(outcome.stats.tests_executed(), 11, "the FIFO loop stops at a test boundary");
+        assert_eq!(outcome.stats.cumulative().history().len(), 11);
         let partial = buffer.contents();
         assert!(full.starts_with(&partial) && partial.len() < full.len());
         assert!(!partial.contains("campaign_finished"));
+
+        // A request before the first test runs nothing and streams nothing.
+        let token = CancelToken::new();
+        token.cancel();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let outcome = Campaign::from_spec_on(Arc::new(RocketCore::new(BugSet::none())), &spec)
+            .unwrap()
+            .with_observer(Box::new(Recorder { log: Arc::clone(&log) }))
+            .with_cancellation(token.clone())
+            .execute();
+        assert!(token.was_interrupted());
+        assert_eq!(outcome.stats.tests_executed(), 0);
+        assert!(outcome.arms.is_empty());
+        assert!(log.lock().unwrap().is_empty(), "no test may run");
     }
 
     #[test]

@@ -41,14 +41,14 @@
 //! # Baseline campaigns
 //!
 //! Baseline ([`PolicySpec::Baseline`](crate::spec::PolicySpec)) campaigns
-//! stream the same per-test protocol through the instrumented TheHuzz FIFO
-//! loop (`fuzzer::thehuzz::TheHuzzFuzzer::run_with`): [`TestFolded`],
-//! [`DetectionObserved`] and [`CoverageMilestone`] fire per executed test in
-//! FIFO order, and [`CampaignFinished`] closes the stream. The baseline has
-//! no bandit rounds, so [`ArmSelected`], [`BatchFolded`] and [`ArmReset`]
-//! never fire, and its [`TestFolded`] events use the conventions documented
-//! on the fields: `arm` is always 0, `local_new == global_new` (one global
-//! pool), and `reward` is 0.0 (no bandit is rewarded).
+//! run the same fold under TheHuzz's FIFO schedule, one test per step:
+//! [`TestFolded`], [`DetectionObserved`] and [`CoverageMilestone`] fire per
+//! executed test in FIFO order, and [`CampaignFinished`] closes the stream.
+//! The schedule has no bandit, so [`ArmSelected`], [`BatchFolded`] and
+//! [`ArmReset`] never fire, and its [`TestFolded`] events use the
+//! conventions documented on the fields: `arm` is always 0 (the one global
+//! pool), `local_new == global_new` (that arm never resets), and `reward`
+//! is 0.0 (no bandit is rewarded).
 //!
 //! # Example
 //!
@@ -99,8 +99,8 @@ pub struct TestFolded<'a> {
     pub test_number: u64,
     /// Id of the test case.
     pub test_id: TestId,
-    /// The arm the test was pulled from. Baseline campaigns have no arms and
-    /// always report 0.
+    /// The arm the test was pulled from. Baseline campaigns queue every test
+    /// in one FIFO pool and always report 0.
     pub arm: usize,
     /// Coverage points new to the arm (the `|cov_L|` reward term). Baseline
     /// campaigns have one global pool, so this equals `global_new` — the

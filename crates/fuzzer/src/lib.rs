@@ -1,9 +1,10 @@
-//! Hardware-fuzzing substrate: test cases, mutation, differential testing and
-//! the TheHuzz-style baseline fuzzer.
+//! Hardware-fuzzing substrate: test cases, mutation and differential testing.
 //!
 //! The MABFuzz paper builds on TheHuzz, a coverage-feedback processor fuzzer
-//! with *static* decision strategies. This crate provides everything both
-//! fuzzers share, plus the baseline itself:
+//! with *static* decision strategies. This crate provides the pieces of that
+//! simulate–compare–mutate loop; the loop itself lives in
+//! `mabfuzz::Campaign`, which runs TheHuzz as a FIFO schedule over one
+//! [`TestPool`] and MABFuzz as a bandit over one pool per seed:
 //!
 //! * [`TestCase`] — a fuzzing input (a [`Program`](riscv::Program) plus
 //!   lineage metadata),
@@ -12,8 +13,7 @@
 //! * [`FuzzHarness`] — runs one test on the DUT and the golden model,
 //!   collects coverage and differential-testing mismatches,
 //! * [`diff`] — the per-instruction architectural comparison,
-//! * [`TheHuzzFuzzer`] — the baseline: FIFO test scheduling, coverage-gated
-//!   mutation, no dynamic seed selection,
+//! * [`TestPool`] — the FIFO queue of pending tests,
 //! * [`CampaignStats`] — per-campaign statistics (coverage curves, detection
 //!   test counts) consumed by the experiment harness,
 //! * [`shard`] — batched bandit rounds: the [`ShardPlan`] batch size and
@@ -32,7 +32,6 @@ pub mod pool;
 pub mod seed;
 pub mod shard;
 pub mod testcase;
-pub mod thehuzz;
 
 pub use campaign::{CampaignConfig, CampaignStats};
 pub use diff::{DiffReport, Mismatch, MismatchKind};
@@ -42,4 +41,3 @@ pub use pool::TestPool;
 pub use seed::SeedGenerator;
 pub use shard::{derive_stream_seed, ShardPlan};
 pub use testcase::{TestCase, TestId};
-pub use thehuzz::{BaselineTestRecord, TheHuzzFuzzer};

@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::testcase::TestCase;
 
-/// A bounded FIFO pool of pending test cases.
+/// A FIFO pool of pending test cases.
 ///
 /// TheHuzz schedules tests strictly first-in-first-out from a single global
 /// pool — the static strategy the paper criticises. MABFuzz keeps one pool
@@ -14,21 +14,12 @@ use crate::testcase::TestCase;
 #[derive(Debug, Clone, Default)]
 pub struct TestPool {
     queue: VecDeque<TestCase>,
-    capacity: Option<usize>,
-    total_pushed: u64,
-    total_dropped: u64,
 }
 
 impl TestPool {
-    /// Creates an unbounded pool.
+    /// Creates an empty pool.
     pub fn new() -> TestPool {
         TestPool::default()
-    }
-
-    /// Creates a pool that keeps at most `capacity` pending tests; pushing to
-    /// a full pool drops the *oldest* pending test.
-    pub fn with_capacity(capacity: usize) -> TestPool {
-        TestPool { capacity: Some(capacity.max(1)), ..TestPool::default() }
     }
 
     /// Returns the number of pending tests.
@@ -43,13 +34,6 @@ impl TestPool {
 
     /// Appends a test to the back of the queue.
     pub fn push(&mut self, test: TestCase) {
-        self.total_pushed += 1;
-        if let Some(capacity) = self.capacity {
-            if self.queue.len() >= capacity {
-                self.queue.pop_front();
-                self.total_dropped += 1;
-            }
-        }
         self.queue.push_back(test);
     }
 
@@ -75,16 +59,6 @@ impl TestPool {
         self.queue.clear();
     }
 
-    /// Returns the number of tests ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// Returns the number of tests dropped due to the capacity bound.
-    pub fn total_dropped(&self) -> u64 {
-        self.total_dropped
-    }
-
     /// Returns an iterator over the pending tests in FIFO order.
     pub fn iter(&self) -> impl Iterator<Item = &TestCase> {
         self.queue.iter()
@@ -93,7 +67,7 @@ impl TestPool {
 
 impl fmt::Display for TestPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} pending tests ({} pushed, {} dropped)", self.len(), self.total_pushed, self.total_dropped)
+        write!(f, "{} pending tests", self.len())
     }
 }
 
@@ -124,16 +98,6 @@ mod tests {
         assert_eq!(pool.pop().unwrap().id, TestId(3));
         assert!(pool.pop().is_none());
         assert!(pool.is_empty());
-    }
-
-    #[test]
-    fn capacity_bound_drops_the_oldest() {
-        let mut pool = TestPool::with_capacity(2);
-        pool.push_all([test(1), test(2), test(3)]);
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.pop().unwrap().id, TestId(2));
-        assert_eq!(pool.total_pushed(), 3);
-        assert_eq!(pool.total_dropped(), 1);
     }
 
     #[test]

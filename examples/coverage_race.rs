@@ -10,9 +10,9 @@
 use std::env;
 use std::sync::Arc;
 
-use fuzzer::{CampaignConfig, CampaignStats, TheHuzzFuzzer};
+use fuzzer::{CampaignConfig, CampaignStats};
 use mab::BanditKind;
-use mabfuzz::{Campaign, CampaignSpec};
+use mabfuzz::{Campaign, CampaignSpec, CampaignSpecBuilder};
 use proc_sim::{Processor, ProcessorKind};
 
 fn main() {
@@ -31,20 +31,14 @@ fn main() {
         sample_interval: (budget / 10).max(1),
         ..CampaignConfig::default()
     };
-    let build_target = || -> Arc<dyn Processor> { Arc::from(core_kind.build_with_native_bugs()) };
+    let race = |policy: CampaignSpecBuilder| -> CampaignStats {
+        let spec = policy.campaign(campaign.clone()).rng_seed(3).build().expect("valid spec");
+        let target: Arc<dyn Processor> = Arc::from(core_kind.build_with_native_bugs());
+        Campaign::from_spec_on(target, &spec).expect("valid spec").execute().stats
+    };
 
-    let mut results: Vec<CampaignStats> =
-        vec![TheHuzzFuzzer::new(build_target(), campaign.clone(), 3).run()];
-    for kind in BanditKind::ALL {
-        let spec = CampaignSpec::builder()
-            .algorithm(kind)
-            .campaign(campaign.clone())
-            .rng_seed(3)
-            .build()
-            .expect("valid spec");
-        let outcome = Campaign::from_spec_on(build_target(), &spec).expect("valid spec").execute();
-        results.push(outcome.stats);
-    }
+    let mut results = vec![race(CampaignSpec::builder().baseline())];
+    results.extend(BanditKind::ALL.into_iter().map(|kind| race(CampaignSpec::builder().algorithm(kind))));
 
     // Print the coverage curve samples side by side.
     println!("{:>8} {:>12} {:>12} {:>12} {:>12}", "#tests", "TheHuzz", "eps-greedy", "UCB", "EXP3");

@@ -1,22 +1,14 @@
 //! Cross-crate integration test: the TheHuzz baseline speaks the full
 //! observer event protocol without changing a single byte of any artefact.
 //!
-//! Pins the two halves of the baseline instrumentation bugfix:
-//!
-//! * **byte-neutrality** — attaching observers (including the production
-//!   `EventLog` consumer) to a `PolicySpec::Baseline` campaign leaves the
-//!   outcome identical to the unobserved run, for coverage mode and for
-//!   detection mode (the grid's golden `experiments_smoke.json` is pinned
-//!   separately by `tests/golden_experiments.rs`);
-//! * **detection-mode parity** — the Campaign-routed baseline reproduces the
-//!   legacy `TheHuzzFuzzer::run` ordering exactly (record the detecting
-//!   test, then stop before enqueuing mutants), asserted via
-//!   `first_detection == tests_executed` equivalence on the cva6
-//!   `V5MissingAccessFault` campaign.
+//! Attaching observers (including the production `EventLog` consumer) to a
+//! `PolicySpec::Baseline` campaign leaves the outcome identical to the
+//! unobserved run, for coverage mode and for detection mode (the grid's
+//! golden `experiments_smoke.json` is pinned separately by
+//! `tests/golden_experiments.rs`).
 
 use std::sync::{Arc, Mutex};
 
-use mabfuzz_suite::fuzzer::TheHuzzFuzzer;
 use mabfuzz_suite::mabfuzz::{
     BugSpec, Campaign, CampaignObserver, CampaignSpec, EventLog, SharedBuffer, TestFolded,
 };
@@ -80,25 +72,4 @@ fn observers_are_byte_neutral_on_baseline_campaigns() {
             "the event log captured the full stream"
         );
     }
-}
-
-#[test]
-fn detection_mode_parity_between_legacy_wrapper_and_routed_path() {
-    let spec = detection_spec();
-    let processor = spec.processor.expect("detection spec names its processor");
-
-    let legacy =
-        TheHuzzFuzzer::new(Arc::from(processor.build()), spec.campaign.clone(), spec.rng_seed)
-            .run();
-    let routed = Campaign::from_spec(&spec).unwrap().execute();
-
-    assert_eq!(legacy, routed.stats, "the routed baseline diverged from the legacy wrapper");
-    let detection = legacy.first_detection().expect("V5 triggers within 1500 tests");
-    assert_eq!(
-        legacy.tests_executed(),
-        detection,
-        "TheHuzz stops on the detecting test before enqueuing mutants"
-    );
-    assert_eq!(routed.stats.first_detection(), Some(detection));
-    assert_eq!(routed.stats.tests_executed(), detection);
 }

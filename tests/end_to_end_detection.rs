@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use mabfuzz_suite::fuzzer::{CampaignConfig, TheHuzzFuzzer};
+use mabfuzz_suite::fuzzer::CampaignConfig;
 use mabfuzz_suite::mab::BanditKind;
-use mabfuzz_suite::mabfuzz::{Campaign, CampaignSpec, MabFuzzOutcome};
+use mabfuzz_suite::mabfuzz::{Campaign, CampaignSpec, CampaignSpecBuilder, MabFuzzOutcome};
 use mabfuzz_suite::proc_sim::{BugSet, Processor, ProcessorKind, Vulnerability};
 
 fn detection_campaign(max_tests: u64) -> CampaignConfig {
@@ -22,15 +22,14 @@ fn cva6_with(vulnerability: Vulnerability) -> Arc<dyn Processor> {
     Arc::from(ProcessorKind::Cva6.build(BugSet::only(vulnerability)))
 }
 
-/// A paper-default MABFuzz campaign of `kind` over `campaign`.
-fn mabfuzz(
+/// A paper-default campaign of the builder's policy over `campaign`.
+fn run(
     processor: Arc<dyn Processor>,
-    kind: BanditKind,
+    policy: CampaignSpecBuilder,
     campaign: CampaignConfig,
     rng_seed: u64,
 ) -> MabFuzzOutcome {
-    let spec = CampaignSpec::builder()
-        .algorithm(kind)
+    let spec = policy
         .campaign(campaign)
         .rng_seed(rng_seed)
         .build()
@@ -41,8 +40,8 @@ fn mabfuzz(
 #[test]
 fn thehuzz_detects_the_easy_vulnerabilities() {
     for vulnerability in [Vulnerability::V5MissingAccessFault, Vulnerability::V6UnimplCsrJunk] {
-        let stats =
-            TheHuzzFuzzer::new(cva6_with(vulnerability), detection_campaign(1500), 2).run();
+        let baseline = CampaignSpec::builder().baseline();
+        let stats = run(cva6_with(vulnerability), baseline, detection_campaign(1500), 2).stats;
         assert!(
             stats.first_detection().is_some(),
             "TheHuzz failed to detect {vulnerability} within 1500 tests"
@@ -54,7 +53,8 @@ fn thehuzz_detects_the_easy_vulnerabilities() {
 fn every_mabfuzz_algorithm_detects_an_easy_vulnerability() {
     for kind in BanditKind::ALL {
         let processor = cva6_with(Vulnerability::V5MissingAccessFault);
-        let outcome = mabfuzz(processor, kind, detection_campaign(1500), 5);
+        let outcome =
+            run(processor, CampaignSpec::builder().algorithm(kind), detection_campaign(1500), 5);
         assert!(
             outcome.stats.first_detection().is_some(),
             "MABFuzz ({kind}) failed to detect V5 within 1500 tests"
@@ -64,12 +64,13 @@ fn every_mabfuzz_algorithm_detects_an_easy_vulnerability() {
 
 #[test]
 fn detection_stops_the_campaign_immediately() {
-    let stats = TheHuzzFuzzer::new(
+    let stats = run(
         cva6_with(Vulnerability::V6UnimplCsrJunk),
+        CampaignSpec::builder().baseline(),
         detection_campaign(2000),
         9,
     )
-    .run();
+    .stats;
     if let Some(first) = stats.first_detection() {
         assert_eq!(stats.tests_executed(), first);
     }
@@ -84,19 +85,19 @@ fn bug_free_campaigns_stay_clean() {
         max_steps_per_test: 250,
         ..CampaignConfig::default()
     };
-    let baseline = TheHuzzFuzzer::new(processor.clone(), config.clone(), 4).run();
-    assert_eq!(baseline.mismatching_tests(), 0);
+    let baseline = run(processor.clone(), CampaignSpec::builder().baseline(), config.clone(), 4);
+    assert_eq!(baseline.stats.mismatching_tests(), 0);
 
-    let outcome = mabfuzz(processor, BanditKind::Exp3, config, 4);
+    let outcome = run(processor, CampaignSpec::builder().algorithm(BanditKind::Exp3), config, 4);
     assert_eq!(outcome.stats.mismatching_tests(), 0);
 }
 
 #[test]
 fn campaign_statistics_are_internally_consistent() {
     let config = CampaignConfig { max_tests: 200, max_steps_per_test: 250, ..CampaignConfig::default() };
-    let outcome = mabfuzz(
+    let outcome = run(
         Arc::from(ProcessorKind::Rocket.build_with_native_bugs()),
-        BanditKind::Ucb1,
+        CampaignSpec::builder().algorithm(BanditKind::Ucb1),
         config,
         13,
     );

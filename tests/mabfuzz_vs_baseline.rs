@@ -5,9 +5,9 @@
 
 use std::sync::Arc;
 
-use mabfuzz_suite::fuzzer::{CampaignConfig, TheHuzzFuzzer};
+use mabfuzz_suite::fuzzer::CampaignConfig;
 use mabfuzz_suite::mab::BanditKind;
-use mabfuzz_suite::mabfuzz::{Campaign, CampaignSpec, MabFuzzOutcome};
+use mabfuzz_suite::mabfuzz::{Campaign, CampaignSpec, CampaignSpecBuilder, MabFuzzOutcome};
 use mabfuzz_suite::proc_sim::{Processor, ProcessorKind};
 
 const TESTS: u64 = 500;
@@ -25,10 +25,9 @@ fn target(kind: ProcessorKind) -> Arc<dyn Processor> {
     Arc::from(kind.build_with_native_bugs())
 }
 
-/// A paper-default MABFuzz campaign of `kind` over `campaign`.
-fn mabfuzz(core: ProcessorKind, kind: BanditKind, campaign: CampaignConfig, seed: u64) -> MabFuzzOutcome {
-    let spec = CampaignSpec::builder()
-        .algorithm(kind)
+/// A paper-default campaign of the builder's policy over `campaign`.
+fn run(core: ProcessorKind, policy: CampaignSpecBuilder, campaign: CampaignConfig, seed: u64) -> MabFuzzOutcome {
+    let spec = policy
         .campaign(campaign)
         .rng_seed(seed)
         .build()
@@ -47,8 +46,8 @@ fn some_mabfuzz_variant_matches_or_beats_the_baseline_on_cva6_coverage() {
     let baseline: usize = SEEDS
         .iter()
         .map(|&seed| {
-            TheHuzzFuzzer::new(target(ProcessorKind::Cva6), campaign(), seed)
-                .run()
+            run(ProcessorKind::Cva6, CampaignSpec::builder().baseline(), campaign(), seed)
+                .stats
                 .final_coverage()
         })
         .sum();
@@ -57,7 +56,8 @@ fn some_mabfuzz_variant_matches_or_beats_the_baseline_on_cva6_coverage() {
         let total: usize = SEEDS
             .iter()
             .map(|&seed| {
-                mabfuzz(ProcessorKind::Cva6, kind, campaign(), seed).stats.final_coverage()
+                let policy = CampaignSpec::builder().algorithm(kind);
+                run(ProcessorKind::Cva6, policy, campaign(), seed).stats.final_coverage()
             })
             .sum();
         best = best.max(total);
@@ -71,7 +71,7 @@ fn some_mabfuzz_variant_matches_or_beats_the_baseline_on_cva6_coverage() {
 #[test]
 fn mabfuzz_resets_arms_during_long_campaigns() {
     let config = CampaignConfig { max_tests: TESTS, max_steps_per_test: 250, ..CampaignConfig::default() };
-    let outcome = mabfuzz(ProcessorKind::Rocket, BanditKind::Ucb1, config, 8);
+    let outcome = run(ProcessorKind::Rocket, CampaignSpec::builder().algorithm(BanditKind::Ucb1), config, 8);
     assert!(
         outcome.total_resets > 0,
         "a {TESTS}-test campaign with gamma=3 should hit saturated arms"
@@ -84,8 +84,9 @@ fn mabfuzz_resets_arms_during_long_campaigns() {
 
 #[test]
 fn equal_budgets_are_enforced_for_a_fair_comparison() {
-    let baseline = TheHuzzFuzzer::new(target(ProcessorKind::Boom), campaign(), 2).run();
-    let outcome = mabfuzz(ProcessorKind::Boom, BanditKind::EpsilonGreedy, campaign(), 2);
+    let baseline = run(ProcessorKind::Boom, CampaignSpec::builder().baseline(), campaign(), 2).stats;
+    let policy = CampaignSpec::builder().algorithm(BanditKind::EpsilonGreedy);
+    let outcome = run(ProcessorKind::Boom, policy, campaign(), 2);
     assert_eq!(baseline.tests_executed(), TESTS);
     assert_eq!(outcome.stats.tests_executed(), TESTS);
     // BOOM is the design with the least headroom: both fuzzers should end up

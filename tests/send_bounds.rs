@@ -12,7 +12,7 @@
 use mabfuzz_suite::coverage::{CoverageMap, CoverageSeries, CumulativeCoverage};
 use mabfuzz_suite::fuzzer::{
     CampaignStats, ExecScratch, FuzzHarness, MutationEngine, SeedGenerator, ShardPlan, TestCase,
-    TestOutcome, TestPool, TheHuzzFuzzer,
+    TestOutcome, TestPool,
 };
 use mabfuzz_suite::mab::{Bandit, EpsilonGreedy, Exp3, Ucb1};
 use mabfuzz_suite::mabfuzz::{
@@ -30,7 +30,6 @@ fn campaign_state_is_send() {
     // observers included (the trait carries a `Send` supertrait exactly for
     // this) — their outcomes, and the specs the grid fans out.
     assert_send::<Campaign>();
-    assert_send::<TheHuzzFuzzer>();
     assert_send::<MabFuzzOutcome>();
     assert_send::<CampaignSpec>();
     assert_send::<Box<dyn CampaignObserver>>();
