@@ -148,6 +148,7 @@ mod tests {
     fn new_arm_holds_its_seed_in_the_pool() {
         let mut arm = Arm::new(3, seed(1), 64);
         assert_eq!(arm.index(), 3);
+        assert!(arm.to_string().contains("arm 3"));
         assert_eq!(arm.pool().len(), 1);
         let test = arm.next_test().expect("seed is pending");
         assert_eq!(test.id, TestId(1));

@@ -332,10 +332,9 @@ impl Campaign {
             let mut lanes: Vec<StdRng> = if legacy_stream {
                 Vec::new()
             } else {
-                (0..batch_len)
-                    .map(|index| {
-                        StdRng::seed_from_u64(derive_stream_seed(campaign_seed, round, index as u64))
-                    })
+                (0..batch_len as u64)
+                    .map(|index| derive_stream_seed(campaign_seed, round, index))
+                    .map(StdRng::seed_from_u64)
                     .collect()
             };
 
@@ -915,7 +914,9 @@ mod tests {
 
     #[test]
     fn baseline_campaigns_reproduce_per_rng_seed() {
-        let run = |rng_seed| Campaign::from_spec_on(rocket(), &quick_baseline(15, rng_seed)).unwrap().execute();
+        let run = |rng_seed| {
+            Campaign::from_spec_on(rocket(), &quick_baseline(15, rng_seed)).unwrap().execute()
+        };
         assert_eq!(run(9), run(9), "the same seed reproduces the same campaign");
         assert_ne!(
             run(10).stats.cumulative().history(),
@@ -946,9 +947,9 @@ mod tests {
         assert_eq!(plain, observed, "observers must never change the baseline campaign");
 
         let log = log.lock().unwrap();
-        let tests: Vec<&String> = log.iter().filter(|l| l.starts_with("test:")).collect();
+        let tests: Vec<String> = log.iter().filter(|l| l.starts_with("test:")).cloned().collect();
         let in_order: Vec<String> = (1..=30).map(|n| format!("test:{n}")).collect();
-        assert_eq!(tests, in_order.iter().collect::<Vec<_>>(), "one TestFolded per FIFO test, in order");
+        assert_eq!(tests, in_order, "one TestFolded per executed FIFO test, in order");
         assert!(
             !log.iter().any(|l| l.starts_with("select:") || l.starts_with("batch:")),
             "the baseline has no bandit rounds: {log:?}"
@@ -976,10 +977,10 @@ mod tests {
         .execute();
 
         let detection = outcome.stats.first_detection().expect("V5 is easy to trigger");
-        assert_eq!(outcome.stats.tests_executed(), detection, "the campaign stops on the detection");
+        assert_eq!(outcome.stats.tests_executed(), detection, "the campaign stops on it");
         let log = log.lock().unwrap();
         let last_test = log.iter().rfind(|l| l.starts_with("test:"));
-        assert_eq!(last_test, Some(&format!("test:{detection}")), "the detecting test is folded last");
+        assert_eq!(last_test, Some(&format!("test:{detection}")), "it is the last test folded");
         assert!(log.contains(&format!("detect:{detection}")), "the detection streams: {log:?}");
     }
 

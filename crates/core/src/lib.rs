@@ -29,9 +29,9 @@
 //! * [`CampaignObserver`] — streaming per-round/per-test events (arm
 //!   selected, test folded, detection, arm reset, coverage milestone) for
 //!   monitoring a campaign while it runs; the built-in statistics are
-//!   expressed against the same events, and **both** scheduling worlds —
-//!   MABFuzz campaigns and the TheHuzz baseline — emit the full per-test
-//!   stream in deterministic fold order;
+//!   expressed against the same events, and **both** schedules of the one
+//!   campaign loop — MABFuzz's bandit and the TheHuzz baseline's FIFO
+//!   queue — emit the full per-test stream in deterministic fold order;
 //! * [`EventLog`] / [`ProgressMonitor`] — the first production consumers of
 //!   that seam: a buffered JSONL event sink whose stream is a deterministic
 //!   function of the spec (golden-pinned in CI), and a live tests/sec +

@@ -103,8 +103,8 @@ pub struct TestFolded<'a> {
     /// in one FIFO pool and always report 0.
     pub arm: usize,
     /// Coverage points new to the arm (the `|cov_L|` reward term). Baseline
-    /// campaigns have one global pool, so this equals `global_new` — the
-    /// novelty count that gates mutation in the FIFO loop.
+    /// campaigns have one global pool that never resets, so this equals
+    /// `global_new` — the novelty count that gates TheHuzz's mutation.
     pub local_new: usize,
     /// Coverage points new to the whole campaign (the `|cov_G|` term).
     pub global_new: usize,

@@ -280,7 +280,8 @@ pub struct CampaignSpec {
     /// Tests simulated per bandit round. **1 is the legacy serial stream**
     /// every published artefact uses; larger batches are a different
     /// deterministic campaign (see the determinism contract in
-    /// `fuzzer::shard`).
+    /// `fuzzer::shard`). The baseline ignores it: TheHuzz's FIFO schedule
+    /// always runs one test per step.
     pub batch_size: usize,
     /// Which coverage signal feeds the reward: the paper's point coverage
     /// (the default — every published artefact uses it, and `to_json` omits

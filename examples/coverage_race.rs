@@ -38,7 +38,9 @@ fn main() {
     };
 
     let mut results = vec![race(CampaignSpec::builder().baseline())];
-    results.extend(BanditKind::ALL.into_iter().map(|kind| race(CampaignSpec::builder().algorithm(kind))));
+    for kind in BanditKind::ALL {
+        results.push(race(CampaignSpec::builder().algorithm(kind)));
+    }
 
     // Print the coverage curve samples side by side.
     println!("{:>8} {:>12} {:>12} {:>12} {:>12}", "#tests", "TheHuzz", "eps-greedy", "UCB", "EXP3");

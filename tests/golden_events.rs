@@ -9,7 +9,7 @@
 //! * `events_mabfuzz_batched.jsonl` and `events_edge_smoke.jsonl` — the
 //!   same spec at `--batch 8` and under `--coverage-signal edge`;
 //! * `events_baseline_smoke.jsonl` — a small TheHuzz baseline campaign,
-//!   pinning the per-test protocol the instrumented FIFO loop emits;
+//!   pinning the per-test protocol of the FIFO schedule;
 //! * `events_baseline_spec.jsonl` and `events_baseline_edge.jsonl` — the
 //!   checked-in spec run as TheHuzz (`experiments run --spec …
 //!   --algorithm thehuzz --events FILE`), under the point and the edge

@@ -26,7 +26,12 @@ fn target(kind: ProcessorKind) -> Arc<dyn Processor> {
 }
 
 /// A paper-default campaign of the builder's policy over `campaign`.
-fn run(core: ProcessorKind, policy: CampaignSpecBuilder, campaign: CampaignConfig, seed: u64) -> MabFuzzOutcome {
+fn run(
+    core: ProcessorKind,
+    policy: CampaignSpecBuilder,
+    campaign: CampaignConfig,
+    seed: u64,
+) -> MabFuzzOutcome {
     let spec = policy
         .campaign(campaign)
         .rng_seed(seed)
@@ -71,7 +76,8 @@ fn some_mabfuzz_variant_matches_or_beats_the_baseline_on_cva6_coverage() {
 #[test]
 fn mabfuzz_resets_arms_during_long_campaigns() {
     let config = CampaignConfig { max_tests: TESTS, max_steps_per_test: 250, ..CampaignConfig::default() };
-    let outcome = run(ProcessorKind::Rocket, CampaignSpec::builder().algorithm(BanditKind::Ucb1), config, 8);
+    let policy = CampaignSpec::builder().algorithm(BanditKind::Ucb1);
+    let outcome = run(ProcessorKind::Rocket, policy, config, 8);
     assert!(
         outcome.total_resets > 0,
         "a {TESTS}-test campaign with gamma=3 should hit saturated arms"
@@ -84,7 +90,8 @@ fn mabfuzz_resets_arms_during_long_campaigns() {
 
 #[test]
 fn equal_budgets_are_enforced_for_a_fair_comparison() {
-    let baseline = run(ProcessorKind::Boom, CampaignSpec::builder().baseline(), campaign(), 2).stats;
+    let policy = CampaignSpec::builder().baseline();
+    let baseline = run(ProcessorKind::Boom, policy, campaign(), 2).stats;
     let policy = CampaignSpec::builder().algorithm(BanditKind::EpsilonGreedy);
     let outcome = run(ProcessorKind::Boom, policy, campaign(), 2);
     assert_eq!(baseline.tests_executed(), TESTS);
