@@ -963,8 +963,7 @@ mod tests {
 
     #[test]
     fn baseline_detection_mode_reports_the_detecting_test_last() {
-        // TheHuzz folds the detecting test, streams it, and stops before
-        // enqueuing its mutants.
+        // TheHuzz folds the detecting test, streams it, and stops.
         let mut spec = quick_baseline(400, 3);
         spec.campaign.stop_on_first_detection = true;
         let log = Arc::new(Mutex::new(Vec::new()));
