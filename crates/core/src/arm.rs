@@ -148,7 +148,6 @@ mod tests {
     fn new_arm_holds_its_seed_in_the_pool() {
         let mut arm = Arm::new(3, seed(1), 64);
         assert_eq!(arm.index(), 3);
-        assert!(arm.to_string().contains("arm 3"));
         assert_eq!(arm.pool().len(), 1);
         let test = arm.next_test().expect("seed is pending");
         assert_eq!(test.id, TestId(1));
@@ -177,5 +176,20 @@ mod tests {
         assert_eq!(arm.pulls_since_reset(), 0);
         assert_eq!(arm.total_pulls(), 1, "lifetime pulls survive resets");
         assert_eq!(arm.resets(), 1);
+    }
+
+    #[test]
+    fn stats_snapshot_reflects_the_arm() {
+        let mut arm = Arm::new(2, seed(4), 16);
+        arm.next_test();
+        arm.absorb_coverage(&coverage(16, &[0, 1]));
+        assert_eq!(arm.index(), 2);
+        assert_eq!(arm.total_pulls(), 1);
+        assert_eq!(arm.local_coverage().count(), 2);
+        assert_eq!(arm.pool().len(), 0);
+        assert_eq!(
+            arm.to_string(),
+            format!("arm 2 (seed {}, 0 pending tests, 2 local points, 0 resets)", TestId(4))
+        );
     }
 }

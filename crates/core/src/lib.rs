@@ -87,6 +87,8 @@ pub mod progress;
 pub mod report;
 pub mod reward;
 pub mod spec;
+#[cfg(test)]
+mod thehuzz;
 
 pub use arm::Arm;
 pub use campaign::{ArmSummary, Campaign, MabFuzzOutcome};
